@@ -119,25 +119,32 @@ def _aggregate_status(checks: Sequence[CheckRecord], children: Sequence[Certific
 # ---------------------------------------------------------------------------
 
 
-def multiplicity_free_check(values: Sequence[Scalar]) -> tuple:
-    """Pairwise distinctness of nonzero scalars, tested through ratios.
+def _first_duplicate(vals: Sequence[Scalar]) -> list | None:
+    """The lexicographically first pair [i, j], i < j, with equal values.
 
-    Comparing ratios against 1 rather than values against each other keeps the
-    verdict unchanged when every value is multiplied by a common unit, which
-    is exactly the freedom a central extension has.
+    Scalars are canonical, so equality is exact; for nonzero values it is the
+    same test as vals[i] / vals[j] == 1.
+    """
+    first: dict = {}
+    duplicate = None
+    for k, v in enumerate(vals):
+        i = first.setdefault(v, k)
+        if i != k and (duplicate is None or i < duplicate[0]):
+            duplicate = [i, k]
+    return duplicate
+
+
+def multiplicity_free_check(values: Sequence[Scalar]) -> tuple:
+    """Pairwise distinctness of nonzero scalars.
+
+    Distinctness is unchanged when every value is multiplied by a common
+    unit, which is exactly the freedom a central extension has.
     """
     vals = list(values)
     for k, v in enumerate(vals):
         if v.is_zero():
             raise ValueError(f"value {k} is zero; multiplicity check needs units")
-    duplicate = None
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if (vals[i] / vals[j]).is_one():
-                duplicate = [i, j]
-                break
-        if duplicate:
-            break
+    duplicate = _first_duplicate(vals)
     witness = {
         "kind": "distinct_values",
         "values": [v.to_json() for v in vals],
@@ -266,17 +273,19 @@ def _strong_components(nodes: Sequence[str], fwd: dict) -> list:
     return sorted(comps)
 
 
-def build_decomposition_graph(F: RingMatrix) -> DecompositionGraph:
+def build_decomposition_graph(F: RingMatrix, Finv: RingMatrix) -> DecompositionGraph:
     """Directed decomposition graph of an exact change-of-basis matrix.
 
-    Columns index the source decomposition, rows the target one.  A nonzero
-    entry F[j, i] means the i-th source summand leaks into the j-th target
-    summand (edge L:i -> R:j); edges the other way come from the exact
-    inverse, so both directions carry honest nonzero witnesses.
+    Columns of F index the source decomposition, rows the target one.  A
+    nonzero entry F[j, i] means the i-th source summand leaks into the j-th
+    target summand (edge L:i -> R:j).  Edges the other way come from Finv,
+    the exact inverse of F; for a fusion matrix that is the reverse fusion
+    matrix, so both directions carry honest nonzero witnesses.
     """
-    if not F.is_square:
+    if not F.is_square():
         raise ValueError("decomposition graph needs a square transition matrix")
-    Finv = F.inverse()  # raises on a singular matrix
+    if (Finv.n_rows, Finv.n_cols) != (F.n_cols, F.n_rows):
+        raise ValueError("inverse transition matrix has the wrong shape")
     left = tuple(f"L:{lbl}" for lbl in F.col_labels)
     right = tuple(f"R:{lbl}" for lbl in F.row_labels)
     edges = []
@@ -297,6 +306,18 @@ def build_decomposition_graph(F: RingMatrix) -> DecompositionGraph:
                      {"kind": "nonzero_scalar", "scalar": v.to_json()})
                 )
     return DecompositionGraph(left, right, tuple(edges))
+
+
+def _connectivity_check(graph: DecompositionGraph, mode: str, ring: RingSpec) -> CheckRecord:
+    """Connectivity verdict of a decomposition graph, witnessed by the graph
+    itself and, on failure, by its component partition."""
+    ok, comps = connectivity(graph, mode)
+    wit = {"kind": "graph", "mode": mode, "ring": _ring_json(ring)}
+    wit.update(graph.to_json())
+    if not ok:
+        wit["components"] = comps
+    return CheckRecord(f"decomposition-graph-connected:{mode}",
+                       PASSED if ok else CHECK_FAILED, wit)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +367,11 @@ def certify_four_punctures(colors: Sequence[int], ring: RingSpec) -> Certificate
         wit["channels"] = list(channels)
         checks.append(CheckRecord(name, PASSED if ok else CHECK_FAILED, wit))
 
+    # by 6j orthogonality the reverse fusion matrix is the inverse of F
     F = fusion_matrix(a, b, c, d, ring)
-    graph = build_decomposition_graph(F)
+    graph = build_decomposition_graph(F, fusion_matrix(a, d, c, b, ring))
     mode = "strong" if ring.mode == "generic" else "undirected"
-    ok, comps = connectivity(graph, mode)
-    wit = {"kind": "graph", "mode": mode, "ring": _ring_json(ring)}
-    wit.update(graph.to_json())
-    if not ok:
-        wit["components"] = comps
-    checks.append(CheckRecord(f"decomposition-graph-connected:{mode}",
-                              PASSED if ok else CHECK_FAILED, wit))
+    checks.append(_connectivity_check(graph, mode, ring))
 
     # lowest-channel vector alone already meets every opposite summand
     i_min = max(abs(a - b), abs(c - d))
@@ -499,13 +515,7 @@ def _two_boundary_data(p: int, g: int, colors: Sequence[int]):
          "hub": [hub, hub], "triples": hub_triples},
     ))
 
-    ok, comps = connectivity(graph, "undirected")
-    wit = {"kind": "graph", "mode": "undirected", "ring": _ring_json(ring)}
-    wit.update(graph.to_json())
-    if not ok:
-        wit["components"] = comps
-    checks.append(CheckRecord("decomposition-graph-connected:undirected",
-                              PASSED if ok else CHECK_FAILED, wit))
+    checks.append(_connectivity_check(graph, "undirected", ring))
 
     children = []
     for c in left:
@@ -516,8 +526,8 @@ def _two_boundary_data(p: int, g: int, colors: Sequence[int]):
     return graph, checks, children
 
 
-def _closed_data(p: int, g: int):
-    """Step data for a closed surface of genus >= 2.
+def _closed_data(p: int, g: int, colors: Sequence[int]):
+    """Step data for a closed surface of genus >= 2 (colors is empty).
 
     Both decompositions cut along a nonseparating curve (two different ones,
     realizable disjointly); every cross-component is met by a simultaneous
@@ -551,20 +561,10 @@ def _closed_data(p: int, g: int):
         {"kind": "complete_bipartite", "families": families,
          "edge_count": len(edges) // 2, "expected": len(families) ** 2},
     )]
-    ok, comps = connectivity(graph, "undirected")
-    wit = {"kind": "graph", "mode": "undirected", "ring": _ring_json(ring)}
-    wit.update(graph.to_json())
-    if not ok:
-        wit["components"] = comps
-    checks.append(CheckRecord("decomposition-graph-connected:undirected",
-                              PASSED if ok else CHECK_FAILED, wit))
+    checks.append(_connectivity_check(graph, "undirected", ring))
 
     children = [(g - 1, 2, (i, i)) for i in families]
     return graph, checks, children
-
-
-def _lex_smaller(s1: tuple, s2: tuple) -> bool:
-    return s1 < s2
 
 
 def _choose_split(g: int, b: int) -> tuple:
@@ -573,7 +573,7 @@ def _choose_split(g: int, b: int) -> tuple:
         for b1 in range(b):
             g2, b2 = g - g1, b - 1 - b1
             shapes = ((g1, b1 + 1), (g2, b2 + 2), (g1, b1 + 2), (g2, b2 + 1))
-            if all(_lex_smaller(s, (g, b)) for s in shapes):
+            if all(s < (g, b) for s in shapes):
                 return g1, b1, g2, b2
     raise ValueError(f"no descending split for surface ({g}, {b})")
 
@@ -652,13 +652,7 @@ def _split_data(p: int, g: int, colors: Sequence[int]):
          "pairs": chain},
     ))
 
-    ok, comps = connectivity(graph, "undirected")
-    wit = {"kind": "graph", "mode": "undirected", "ring": _ring_json(ring)}
-    wit.update(graph.to_json())
-    if not ok:
-        wit["components"] = comps
-    checks.append(CheckRecord("decomposition-graph-connected:undirected",
-                              PASSED if ok else CHECK_FAILED, wit))
+    checks.append(_connectivity_check(graph, "undirected", ring))
 
     children = []
     for i in left:
@@ -671,9 +665,9 @@ def _split_data(p: int, g: int, colors: Sequence[int]):
 
 
 _STEP_BUILDERS = {
-    "two_boundary": lambda p, g, colors: _two_boundary_data(p, g, colors),
-    "closed": lambda p, g, colors: _closed_data(p, g),
-    "split": lambda p, g, colors: _split_data(p, g, colors),
+    "two_boundary": _two_boundary_data,
+    "closed": _closed_data,
+    "split": _split_data,
 }
 
 
@@ -748,24 +742,25 @@ def certify_irreducible(p: int, g: int, b: int, colors: Sequence[int],
 def _certify_node(ring: RingSpec, g: int, b: int, colors: tuple,
                   memo: dict, depth: int, max_depth: int) -> Certificate:
     key = (g, b, colors)
-    if key in memo:
-        return memo[key]
-    if depth > max_depth:
-        raise ValueError(f"induction depth exceeds max_depth={max_depth}")
+    if key not in memo:
+        if depth > max_depth:
+            raise ValueError(f"induction depth exceeds max_depth={max_depth}")
+        memo[key] = _certify_new_node(ring, g, b, colors, memo, depth, max_depth)
+    return memo[key]
+
+
+def _certify_new_node(ring: RingSpec, g: int, b: int, colors: tuple,
+                      memo: dict, depth: int, max_depth: int) -> Certificate:
     p = ring.p
     inst = _instance(ring, g, b, colors)
 
     dim = dimension(g, b, colors, ring)
     if dim == 0:
-        cert = Certificate("irreducible", inst, NOT_APPLICABLE,
+        return Certificate("irreducible", inst, NOT_APPLICABLE,
                            detail="zero-dimensional space")
-        memo[key] = cert
-        return cert
     if dim == 1:
-        cert = Certificate("irreducible", inst, VACUOUS,
+        return Certificate("irreducible", inst, VACUOUS,
                            detail="dimension 1, trivially irreducible")
-        memo[key] = cert
-        return cert
 
     if 0 in colors and b >= 1 and (g, b) != (0, 4):
         # capping off an untwisted circle is an isomorphism of actions
@@ -783,11 +778,9 @@ def _certify_node(ring: RingSpec, g: int, b: int, colors: tuple,
         ),)
         child = _certify_node(ring, g, b - 1, reduced, memo, depth + 1, max_depth)
         status = _aggregate_status(checks, (child,), ())
-        cert = Certificate("irreducible", inst, status,
+        return Certificate("irreducible", inst, status,
                            detail="untwisted boundary capped off",
                            checks=checks, children=(child,))
-        memo[key] = cert
-        return cert
 
     if p - 2 in colors and b >= 2:
         reduced, k, partner = _reduce_max_color(p, colors)
@@ -803,11 +796,9 @@ def _certify_node(ring: RingSpec, g: int, b: int, colors: tuple,
         ),)
         child = _certify_node(ring, g, b - 1, reduced, memo, depth + 1, max_depth)
         status = _aggregate_status(checks, (child,), ())
-        cert = Certificate("irreducible", inst, status,
+        return Certificate("irreducible", inst, status,
                            detail="maximal boundary color merged away",
                            checks=checks, children=(child,))
-        memo[key] = cert
-        return cert
 
     if (g, b) == (0, 4):
         cert = certify_four_punctures(colors, ring)
@@ -834,7 +825,7 @@ def _certify_node(ring: RingSpec, g: int, b: int, colors: tuple,
             if ckey in seen:
                 continue
             seen.add(ckey)
-            if not _lex_smaller((cg, cb), (g, b)):
+            if not (cg, cb) < (g, b):
                 raise ValueError(f"non-descending child {ckey} of ({g}, {b})")
             children.append(_certify_node(ring, cg, cb, tuple(ccolors),
                                           memo, depth + 1, max_depth))
@@ -842,7 +833,6 @@ def _certify_node(ring: RingSpec, g: int, b: int, colors: tuple,
         cert = Certificate("irreducible", inst, status,
                            detail=f"decomposition step ({kind})",
                            checks=tuple(checks), children=tuple(children))
-    memo[key] = cert
     return cert
 
 
@@ -875,11 +865,7 @@ def _replay_check(check: dict, problems: list, path: str) -> str:
             if v.is_zero():
                 problems.append(f"{where}: stored value {k} is zero")
                 return CHECK_FAILED
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if (vals[i] / vals[j]).is_one():
-                    return CHECK_FAILED
-        return PASSED
+        return PASSED if _first_duplicate(vals) is None else CHECK_FAILED
 
     if kind == "nonzero_scalars":
         for e in wit["entries"]:

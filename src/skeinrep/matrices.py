@@ -99,16 +99,6 @@ class RingMatrix:
             raise ValueError("matrix has no labels")
         return self.rows[self.row_labels.index(row_label)][self.col_labels.index(col_label)]
 
-    def row_index(self, label: object) -> int:
-        if self.row_labels is None:
-            raise ValueError("matrix has no row labels")
-        return self.row_labels.index(label)
-
-    def col_index(self, label: object) -> int:
-        if self.col_labels is None:
-            raise ValueError("matrix has no column labels")
-        return self.col_labels.index(label)
-
     # -- arithmetic ------------------------------------------------------------
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
@@ -204,53 +194,6 @@ class RingMatrix:
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
         return RingMatrix(self.ring, aug, row_labels=self.col_labels, col_labels=self.row_labels)
-
-    def determinant(self) -> Scalar:
-        """Exact determinant by fraction-free-enough elimination (we have
-        exact division, so plain Gaussian elimination with pivot tracking)."""
-        if not self.is_square():
-            raise ValueError("determinant requires a square matrix")
-        n = self.n_rows
-        work = [list(row) for row in self.rows]
-        det = Scalar.one(self.ring)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-            if pivot is None:
-                return Scalar.zero(self.ring)
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det = det * work[col][col]
-            inv = work[col][col].invert()
-            for r in range(col + 1, n):
-                if work[r][col].is_zero():
-                    continue
-                factor = work[r][col] * inv
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-        return det
-
-    def rank(self) -> int:
-        work = [list(row) for row in self.rows]
-        n, m = self.n_rows, self.n_cols
-        rank = 0
-        row = 0
-        for col in range(m):
-            pivot = next((r for r in range(row, n) if not work[r][col].is_zero()), None)
-            if pivot is None:
-                continue
-            work[row], work[pivot] = work[pivot], work[row]
-            inv = work[row][col].invert()
-            work[row] = [x * inv for x in work[row]]
-            for r in range(n):
-                if r == row or work[r][col].is_zero():
-                    continue
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-            rank += 1
-            row += 1
-            if row == n:
-                break
-        return rank
 
     # -- predicates ------------------------------------------------------------
 

@@ -10,9 +10,7 @@ so the divisions below cannot hit a vanishing quantum integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 from .matrices import RingMatrix
 from .scalars import RingSpec, Scalar, loop_value, quantum_integer
@@ -71,88 +69,29 @@ def theta(a: int, b: int, c: int, ring: RingSpec) -> Scalar:
     return value
 
 
-@dataclass(frozen=True)
-class TetFrame:
-    """The six colors of a tetrahedral network together with the derived
-    half-sums that drive the summation formula.
-
-    Vertices carry the triples (a,b,i), (c,d,i), (a,d,j), (b,c,j); m_1..m_4
-    are the vertex half-sums, n_1..n_3 the half-sums over the three
-    four-color circuits, and the summation variable z runs over
-    [max m_s, min n_t].
-    """
-
-    a: int
-    b: int
-    i: int
-    c: int
-    d: int
-    j: int
-
-    def vertex_triples(self) -> tuple:
-        return (
-            (self.a, self.b, self.i),
-            (self.c, self.d, self.i),
-            (self.a, self.d, self.j),
-            (self.b, self.c, self.j),
-        )
-
-    def check(self, ring: RingSpec) -> None:
-        for triple in self.vertex_triples():
-            reason = admissibility_failure(*triple, ring)
-            if reason is not None:
-                raise ValueError(
-                    f"tet frame {self.colors()} has inadmissible vertex "
-                    f"{triple}: {reason}"
-                )
-
-    def colors(self) -> tuple:
-        return (self.a, self.b, self.i, self.c, self.d, self.j)
-
-    @property
-    def m_values(self) -> tuple:
-        a, b, i, c, d, j = self.colors()
-        return (
-            (a + b + i) // 2,
-            (c + d + i) // 2,
-            (a + d + j) // 2,
-            (b + c + j) // 2,
-        )
-
-    @property
-    def n_values(self) -> tuple:
-        a, b, i, c, d, j = self.colors()
-        return (
-            (a + b + c + d) // 2,
-            (b + i + d + j) // 2,
-            (a + i + c + j) // 2,
-        )
-
-    @property
-    def z_range(self) -> tuple:
-        return (max(self.m_values), min(self.n_values))
-
-    @property
-    def summand_count(self) -> int:
-        lo, hi = self.z_range
-        return hi - lo + 1
-
-
 def tet_summands(a: int, b: int, i: int, c: int, d: int, j: int, ring: RingSpec) -> list:
     """The individual z-terms of the tetrahedron sum, in increasing z.
 
-    Each term is
+    Vertices carry the triples (a,b,i), (c,d,i), (a,d,j), (b,c,j); m_1..m_4
+    are the vertex half-sums, n_1..n_3 the half-sums over the three
+    four-color circuits, and z runs over [max m_s, min n_t].  Each term is
         E * (-1)^z [z+1]! / (prod_t [n_t - z]! * prod_s [z - m_s]!)
     with the shared prefactor
         E = prod_{s,t} [n_t - m_s]! / ([a]! [b]! [i]! [c]! [d]! [j]!).
     """
-    frame = TetFrame(a, b, i, c, d, j)
-    frame.check(ring)
-    ms = frame.m_values
-    ns = frame.n_values
-    lo, hi = frame.z_range
+    triples = ((a, b, i), (c, d, i), (a, d, j), (b, c, j))
+    for triple in triples:
+        reason = admissibility_failure(*triple, ring)
+        if reason is not None:
+            raise ValueError(
+                f"tet frame {(a, b, i, c, d, j)} has inadmissible vertex "
+                f"{triple}: {reason}"
+            )
+    ms = tuple(sum(triple) // 2 for triple in triples)
+    ns = ((a + b + c + d) // 2, (b + i + d + j) // 2, (a + i + c + j) // 2)
+    lo, hi = max(ms), min(ns)
     # all twelve n_t - m_s differences are triangle slacks, hence >= 0
-    assert lo <= hi, frame
+    assert lo <= hi, (a, b, i, c, d, j)
     prefactor = _product_of_quantum_factorials(
         ring,
         [n - m for n in ns for m in ms],
@@ -178,31 +117,6 @@ def tet(a: int, b: int, i: int, c: int, d: int, j: int, ring: RingSpec) -> Scala
     return total
 
 
-def tet_symmetry_images(colors: tuple) -> set:
-    """All color tuples obtained from the tetrahedral symmetries: vertex
-    permutations act on the six edges (edge = pair of vertices)."""
-    a, b, i, c, d, j = colors
-    # slot -> vertex pair, vertices numbered 1..4 as in vertex_triples
-    pair_of_slot = (
-        frozenset({1, 3}),  # a
-        frozenset({1, 4}),  # b
-        frozenset({1, 2}),  # i
-        frozenset({2, 4}),  # c
-        frozenset({2, 3}),  # d
-        frozenset({3, 4}),  # j
-    )
-    slot_of_pair = {p: s for s, p in enumerate(pair_of_slot)}
-    images = set()
-    for sigma in permutations((1, 2, 3, 4)):
-        relabel = {v: sigma[v - 1] for v in (1, 2, 3, 4)}
-        out = [0] * 6
-        for slot, pair in enumerate(pair_of_slot):
-            new_pair = frozenset(relabel[v] for v in pair)
-            out[slot_of_pair[new_pair]] = colors[slot]
-        images.add(tuple(out))
-    return images
-
-
 @lru_cache(maxsize=None)
 def sixj(a: int, b: int, i: int, c: int, d: int, j: int, ring: RingSpec) -> Scalar:
     """Coefficient of w_j in the expansion of v_i on the four-holed sphere
@@ -224,7 +138,10 @@ def sixj(a: int, b: int, i: int, c: int, d: int, j: int, ring: RingSpec) -> Scal
     den = theta(a, d, j, ring) * theta(b, c, j, ring)
     if den.is_zero():
         raise ValueError(f"sixj({a},{b},{i},{c},{d},{j}): theta denominator vanishes")
-    return loop_value(ring, j) * tet(a, b, i, c, d, j, ring) / den
+    # tet(a,b,i,c,d,j) = tet(a,d,j,c,b,i): read it under one orientation so
+    # the reverse fusion matrix reuses the forward matrix's cached symbols
+    frame = min((a, b, i, c, d, j), (a, d, j, c, b, i))
+    return loop_value(ring, j) * tet(*frame, ring) / den
 
 
 def middle_colors(a: int, b: int, c: int, d: int, ring: RingSpec) -> list:

@@ -19,18 +19,10 @@ certificates only ever consume eigenvalue ratios and zero patterns.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .matrices import RingMatrix
-from .recoupling import fusion_matrix, sixj
-from .scalars import RingSpec, Scalar, a_power, loop_value, root_of_unity
+from .recoupling import sixj
+from .scalars import RingSpec, Scalar, a_power
 from .spaces import channel_colors, enumerate_colorings, is_admissible_triple, standard_graph
-
-OMEGA_NORMALIZATION_NOTE = (
-    "coefficients omit the global normalization factor sqrt(2/p)*sin(pi/p), "
-    "which lies outside the coefficient ring and cancels from every "
-    "eigenvalue ratio"
-)
 
 
 def twist_eigenvalue(ring: RingSpec, c: int, inverse: bool = False) -> Scalar:
@@ -46,14 +38,6 @@ def twist_eigenvalue(ring: RingSpec, c: int, inverse: bool = False) -> Scalar:
     return -value if c % 2 else value
 
 
-def omega_coefficients(p: int) -> list:
-    """Coefficients of the surgery color omega at the 4p-th root of unity:
-    (i, (-1)^i [i+1]) for 0 <= i <= p-2.  See OMEGA_NORMALIZATION_NOTE for
-    the omitted scalar prefactor."""
-    ring = root_of_unity(p)
-    return [(i, loop_value(ring, i)) for i in range(p - 1)]
-
-
 def edge_twist_matrix(
     graph, edge: int, boundary, ring: RingSpec, inverse: bool = False
 ) -> RingMatrix:
@@ -66,21 +50,6 @@ def edge_twist_matrix(
         raise ValueError("zero-dimensional space")
     entries = [twist_eigenvalue(ring, coloring[edge], inverse) for coloring in basis]
     return RingMatrix.diagonal(ring, entries, labels=basis)
-
-
-def dual_twist_matrix(
-    a: int, b: int, c: int, d: int, ring: RingSpec, inverse: bool = False
-) -> RingMatrix:
-    """Twist about the curve pairing punctures 2 and 3 on the four-holed
-    sphere (a,b,c,d), written in the v-basis: F^-1 D F with D diagonal in
-    the w-basis."""
-    F = fusion_matrix(a, b, c, d, ring)
-    D = RingMatrix.diagonal(
-        ring,
-        [twist_eigenvalue(ring, j, inverse) for j in F.row_labels],
-        labels=F.row_labels,
-    )
-    return F.inverse() * (D * F)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +166,6 @@ def _rewrite_move(shape, basis, node, boundary, ring):
     return new_shape, new_basis, M
 
 
-def _block_plan(n: int, lo: int, hi: int):
-    """Rewrites turning the left comb into a shape containing node (lo, hi):
-    hi - lo rewrites, all applied under the node (1, hi)."""
-    return [(1, hi)] * (hi - lo)
-
-
 def interval_twist_matrix(
     n: int, lo: int, hi: int, boundary, ring: RingSpec, inverse: bool = False
 ) -> RingMatrix:
@@ -241,8 +204,9 @@ def interval_twist_matrix(
     shape = _comb_shape(n)
     cur_basis = basis
     U = RingMatrix.identity(ring, dim)
-    for node in _block_plan(n, lo, hi):
-        shape, cur_basis, M = _rewrite_move(shape, cur_basis, node, boundary, ring)
+    # hi - lo rewrites under (1, hi) turn the left comb into a shape with (lo, hi)
+    for _ in range(hi - lo):
+        shape, cur_basis, M = _rewrite_move(shape, cur_basis, (1, hi), boundary, ring)
         U = M * U
     target = (lo, hi)
     assert target in shape

@@ -37,6 +37,10 @@ def test_multiplicity_free_check():
     assert ok and wit["duplicate"] is None
     ok, wit = multiplicity_free_check(vals + [a_power(GENERIC, 2)])
     assert not ok and wit["duplicate"] == [1, 3]
+    # the first pair in (i, j) order, not the first repeat met in a scan
+    x, y = vals[:2]
+    ok, wit = multiplicity_free_check([x, y, y, x])
+    assert not ok and wit["duplicate"] == [0, 3]
     with pytest.raises(ValueError):
         multiplicity_free_check([Scalar.zero(GENERIC)])
 
@@ -53,7 +57,7 @@ def test_multiplicity_free_check_unit_invariant():
 
 def test_decomposition_graph_connectivity():
     F = fusion_matrix(1, 1, 1, 1, GENERIC)
-    graph = build_decomposition_graph(F)
+    graph = build_decomposition_graph(F, fusion_matrix(1, 1, 1, 1, GENERIC))
     assert set(graph.left) == {"L:0", "L:2"} and set(graph.right) == {"R:0", "R:2"}
     # every entry of this F is nonzero, so the graph is complete bipartite
     assert len(graph.edges) == 2 * F.n_rows * F.n_cols
@@ -61,6 +65,16 @@ def test_decomposition_graph_connectivity():
     assert ok and len(comps) == 1
     ok, comps = connectivity(graph, "strong")
     assert ok
+
+
+def test_decomposition_graph_rejects_bad_shapes():
+    F = fusion_matrix(2, 1, 1, 2, GENERIC)
+    Finv = fusion_matrix(2, 2, 1, 1, GENERIC)
+    wide = RingMatrix(GENERIC, [F.rows[0] + F.rows[0]])
+    with pytest.raises(ValueError):
+        build_decomposition_graph(wide, wide.transpose())
+    with pytest.raises(ValueError):
+        build_decomposition_graph(F, RingMatrix(GENERIC, Finv.rows[:1]))
 
 
 def test_connectivity_detects_split():

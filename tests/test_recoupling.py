@@ -6,6 +6,7 @@ bracket resolution and shares no code with the recoupling formulas.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,6 @@ from skeinrep.recoupling import (
     sixj,
     tet,
     tet_summands,
-    tet_symmetry_images,
     theta,
 )
 from skeinrep.scalars import GENERIC, a_power, loop_value, root_of_unity
@@ -25,6 +25,30 @@ from skeinrep.tl import evaluate_network, tet_network, theta_network
 
 R5 = root_of_unity(5)
 R7 = root_of_unity(7)
+
+
+def tet_symmetry_images(colors: tuple) -> set:
+    """All color tuples obtained from the tetrahedral symmetries: vertex
+    permutations act on the six edges (edge = pair of vertices)."""
+    # slot -> vertex pair, vertices 1..4 carrying (a,b,i), (c,d,i), (a,d,j), (b,c,j)
+    pair_of_slot = (
+        frozenset({1, 3}),  # a
+        frozenset({1, 4}),  # b
+        frozenset({1, 2}),  # i
+        frozenset({2, 4}),  # c
+        frozenset({2, 3}),  # d
+        frozenset({3, 4}),  # j
+    )
+    slot_of_pair = {p: s for s, p in enumerate(pair_of_slot)}
+    images = set()
+    for sigma in itertools.permutations((1, 2, 3, 4)):
+        relabel = {v: sigma[v - 1] for v in (1, 2, 3, 4)}
+        out = [0] * 6
+        for slot, pair in enumerate(pair_of_slot):
+            new_pair = frozenset(relabel[v] for v in pair)
+            out[slot_of_pair[new_pair]] = colors[slot]
+        images.add(tuple(out))
+    return images
 
 
 def _admissible_triples(top: int, ring):
@@ -143,6 +167,21 @@ def test_fusion_reverse_composition_is_identity():
             G = fusion_matrix(a, d, c, b, ring)
             assert (G * F).is_identity(), (a, b, c, d)
             assert (F * G).is_identity(), (a, b, c, d)
+
+
+def test_fusion_reverse_is_inverse_at_high_colors():
+    # certificates use colors up to p-2 and take the fusion inverse from the
+    # reverse matrix; pin that identity beyond the small-color sweeps
+    rng = random.Random(1809)
+    for p, count in ((11, 8), (13, 4)):
+        ring = root_of_unity(p)
+        frames = [
+            f for f in itertools.product(range(p - 1), repeat=4)
+            if max(f) >= p - 5 and len(middle_colors(*f, ring)) >= 3
+        ]
+        for a, b, c, d in rng.sample(frames, count):
+            G = fusion_matrix(a, d, c, b, ring)
+            assert (G * fusion_matrix(a, b, c, d, ring)).is_identity(), (p, a, b, c, d)
 
 
 def test_fusion_matrix_zero_dimensional_rejected():

@@ -7,10 +7,8 @@ from skeinrep.recoupling import fusion_matrix
 from skeinrep.scalars import GENERIC, Scalar, a_power, root_of_unity
 from skeinrep.spaces import enumerate_colorings, standard_graph
 from skeinrep.twists import (
-    dual_twist_matrix,
     edge_twist_matrix,
     interval_twist_matrix,
-    omega_coefficients,
     pure_braid_twist,
     twist_eigenvalue,
 )
@@ -29,17 +27,6 @@ def test_twist_eigenvalue_golden():
                 expected = -expected
             assert twist_eigenvalue(ring, c) == expected
             assert twist_eigenvalue(ring, c) * twist_eigenvalue(ring, c, inverse=True) == Scalar.one(ring)
-
-
-def test_omega_coefficients():
-    from skeinrep.scalars import loop_value
-
-    for p in (5, 7):
-        coeffs = omega_coefficients(p)
-        assert len(coeffs) == p - 1
-        ring = root_of_unity(p)
-        for i, value in coeffs:
-            assert value == loop_value(ring, i)
 
 
 def test_edge_twist_diagonal():
@@ -94,12 +81,13 @@ def test_adjacent_pure_braid_is_interval():
 
 
 def test_dual_twist_is_separated_pair():
+    # the dual twist on the four-holed sphere is the round curve around 2..3
     for colors in ((1, 1, 1, 1), (2, 1, 1, 2), (1, 2, 2, 1)):
-        D = dual_twist_matrix(*colors, GENERIC)
+        D = interval_twist_matrix(4, 2, 3, colors, GENERIC)
         T = pure_braid_twist(4, (2, 3), colors, GENERIC)
         assert D.rows == T.rows
-    D = dual_twist_matrix(1, 1, 1, 1, GENERIC)
-    Dinv = dual_twist_matrix(1, 1, 1, 1, GENERIC, inverse=True)
+    D = interval_twist_matrix(4, 2, 3, (1, 1, 1, 1), GENERIC)
+    Dinv = interval_twist_matrix(4, 2, 3, (1, 1, 1, 1), GENERIC, inverse=True)
     assert (D * Dinv).is_identity()
 
 
@@ -111,7 +99,7 @@ def test_dual_twist_conjugate_of_diagonal():
         GENERIC, [twist_eigenvalue(GENERIC, j) for j in F.row_labels], labels=F.row_labels
     )
     expected = fusion_matrix(a, d, c, b, GENERIC) * D * F
-    assert dual_twist_matrix(a, b, c, d, GENERIC).rows == expected.rows
+    assert interval_twist_matrix(4, 2, 3, (a, b, c, d), GENERIC).rows == expected.rows
 
 
 def test_disjoint_twists_commute():
