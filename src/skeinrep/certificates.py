@@ -765,28 +765,19 @@ def _certify_new_node(ring: RingSpec, g: int, b: int, colors: tuple,
     if 0 in colors and b >= 1 and (g, b) != (0, 4):
         # capping off an untwisted circle is an isomorphism of actions
         k = colors.index(0)
-        reduced = colors[:k] + colors[k + 1:]
-        reduced_dim = dimension(g, b - 1, reduced, ring)
-        checks = (CheckRecord(
-            "zero-color-erasure-preserves-dimension",
-            PASSED if reduced_dim == dim else CHECK_FAILED,
-            {"kind": "reduction", "ring": _ring_json(ring), "g": g,
-             "from": {"b": b, "colors": list(colors)},
-             "to": {"b": b - 1, "colors": list(reduced)},
-             "merged_index": k, "partner_index": None,
-             "dims": [dim, reduced_dim]},
-        ),)
-        child = _certify_node(ring, g, b - 1, reduced, memo, depth + 1, max_depth)
-        status = _aggregate_status(checks, (child,), ())
-        return Certificate("irreducible", inst, status,
-                           detail="untwisted boundary capped off",
-                           checks=checks, children=(child,))
-
-    if p - 2 in colors and b >= 2:
+        reduced, partner = colors[:k] + colors[k + 1:], None
+        check = "zero-color-erasure-preserves-dimension"
+        detail = "untwisted boundary capped off"
+    elif p - 2 in colors and b >= 2:
         reduced, k, partner = _reduce_max_color(p, colors)
+        check = "boundary-merge-preserves-dimension"
+        detail = "maximal boundary color merged away"
+    else:
+        check = None
+    if check is not None:
         reduced_dim = dimension(g, b - 1, reduced, ring)
         checks = (CheckRecord(
-            "boundary-merge-preserves-dimension",
+            check,
             PASSED if reduced_dim == dim else CHECK_FAILED,
             {"kind": "reduction", "ring": _ring_json(ring), "g": g,
              "from": {"b": b, "colors": list(colors)},
@@ -796,8 +787,7 @@ def _certify_new_node(ring: RingSpec, g: int, b: int, colors: tuple,
         ),)
         child = _certify_node(ring, g, b - 1, reduced, memo, depth + 1, max_depth)
         status = _aggregate_status(checks, (child,), ())
-        return Certificate("irreducible", inst, status,
-                           detail="maximal boundary color merged away",
+        return Certificate("irreducible", inst, status, detail=detail,
                            checks=checks, children=(child,))
 
     if (g, b) == (0, 4):

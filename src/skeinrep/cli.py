@@ -18,6 +18,7 @@ from itertools import product
 from .certificates import (
     CERTIFIED,
     CERTIFIED_MODULO_ASSUMPTION,
+    DEFAULT_MAX_DEPTH,
     FAILED,
     NOT_APPLICABLE,
     VACUOUS,
@@ -29,14 +30,13 @@ from .density import certify_density
 from .recoupling import fusion_matrix, sixj, tet, theta
 from .scalars import GENERIC, RingSpec, quantum_integer, root_of_unity
 from .spaces import dimension, enumerate_colorings, graph_from_json, standard_graph
+from .tl import DEFAULT_STRAND_BOUND as DEFAULT_MAX_STRANDS
 from .tl import diagram_from_json, evaluate_network, network_from_json, resolve_bracket
 from .twists import edge_twist_matrix, interval_twist_matrix, pure_braid_twist
 
 RESULT_SCHEMA = "skeinrep.result/1"
 
 DEFAULT_MAX_COLORS = 12
-DEFAULT_MAX_STRANDS = 24
-DEFAULT_MAX_DEPTH = 16
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -218,13 +218,17 @@ def _result(verb: str, params: dict, result) -> dict:
 def _load_json_input(path) -> dict:
     try:
         if path is None:
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed JSON input: {e}")
     except OSError as e:
         raise UsageError(str(e))
+    if not isinstance(data, dict):
+        raise UsageError(f"JSON input must be an object, got {type(data).__name__}")
+    return data
 
 
 def _status_exit(status: str) -> int:
@@ -478,7 +482,10 @@ def _run_sweep(args):
 
 def _run_replay(args):
     doc = _load_json_input(args.file)
-    status, problems = replay_certificate(doc)
+    try:
+        status, problems = replay_certificate(doc)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise UsageError(f"malformed certificate: {type(e).__name__}: {e}")
     stored = doc.get("status")
     payload = _result("replay", {"stored_status": stored}, {
         "status": status,

@@ -141,10 +141,6 @@ class RingMatrix:
         rows = [[c * x for x in row] for row in self.rows]
         return RingMatrix(self.ring, rows, row_labels=self.row_labels, col_labels=self.col_labels)
 
-    def transpose(self) -> "RingMatrix":
-        rows = [tuple(col) for col in zip(*self.rows)]
-        return RingMatrix(self.ring, rows, row_labels=self.col_labels, col_labels=self.row_labels)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
             return NotImplemented
@@ -219,11 +215,6 @@ class RingMatrix:
             return False
         first = self.rows[0][0]
         return all(self.rows[i][i] == first for i in range(self.n_rows))
-
-    def diagonal_entries(self) -> tuple[Scalar, ...]:
-        if not self.is_square():
-            raise ValueError("diagonal of a non-square matrix")
-        return tuple(self.rows[i][i] for i in range(self.n_rows))
 
     # -- serialization ---------------------------------------------------------
 

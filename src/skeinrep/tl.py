@@ -384,9 +384,6 @@ class PlanarDiagram:
     def is_closed(self) -> bool:
         return self.final_width == 0
 
-    def crossing_count(self) -> int:
-        return sum(1 for row in self.rows if row[0] == "cross")
-
     def to_json(self) -> dict:
         return {"rows": [list(r) for r in self.rows]}
 

@@ -53,65 +53,19 @@ def edge_twist_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Association trees on the caterpillar basis.
+# Tree states on the caterpillar basis.
 #
-# A tree shape is a laminar family of 1-based inclusive intervals (l, m) over
-# punctures 1..n, each interval an internal node with exactly two children
-# (children may be single-puncture leaves).  The root (1, n) carries color 0,
-# which forces the color of its sibling-of-last-leaf node.  The canonical
-# caterpillar shape is the left comb with nodes (1, k) for k = 2..n-1.
+# A basis vector is a dict from internal nodes to colors.  A node is a
+# 1-based inclusive interval (l, m) of punctures; the leaf (k, k) carries
+# boundary color k.  The caterpillar (left comb) has nodes (1, k) for
+# k = 2..n, and the root (1, n) carries color 0.
 # ---------------------------------------------------------------------------
-
-
-def _comb_shape(n: int) -> frozenset:
-    return frozenset((1, k) for k in range(2, n + 1))
-
-
-def _children(shape: frozenset, node: tuple) -> tuple:
-    l, m = node
-    best = l  # right end of the left child; leaf (l, l) if nothing larger
-    for (a, b) in shape:
-        if a == l and b < m and b > best:
-            best = b
-    left = (l, best)
-    right = (best + 1, m)
-    if best + 1 != m and right not in shape:
-        raise ValueError(f"shape is not binary at {node}")
-    return left, right
 
 
 def _state_color(state: dict, node: tuple, boundary) -> int:
     if node[0] == node[1]:
         return boundary[node[0] - 1]
     return state[node]
-
-
-def _enumerate_shape(shape: frozenset, boundary, ring: RingSpec) -> list:
-    """All admissible colorings of a tree shape, as dicts node -> color,
-    sorted by the color tuple in sorted-node order."""
-    n = len(boundary)
-    nodes = sorted(shape, key=lambda iv: (iv[1] - iv[0], iv))
-    states = [{}]
-    for node in nodes:
-        left, right = _children(shape, node)
-        out = []
-        for state in states:
-            lc = _state_color(state, left, boundary)
-            rc = _state_color(state, right, boundary)
-            if node == (1, n):
-                if is_admissible_triple(lc, rc, 0, ring):
-                    nxt = dict(state)
-                    nxt[node] = 0
-                    out.append(nxt)
-                continue
-            for col in channel_colors(lc, rc, ring):
-                nxt = dict(state)
-                nxt[node] = col
-                out.append(nxt)
-        states = out
-    order = sorted(shape)
-    states.sort(key=lambda s: tuple(s[nd] for nd in order))
-    return states
 
 
 def _comb_basis(n: int, boundary, ring: RingSpec):
@@ -128,42 +82,41 @@ def _comb_basis(n: int, boundary, ring: RingSpec):
     return states, colorings
 
 
-def _rewrite_move(shape, basis, node, boundary, ring):
-    """One associativity rewrite ((X,Y),Z) -> (X,(Y,Z)) under `node`.
+def _rewrite_move(basis, m, hi, boundary, ring):
+    """One associativity rewrite ((X,Y),Z) -> (X,(Y,Z)) under node (1, hi).
 
-    Returns (new_shape, new_basis, M) with M the exact change of basis:
-    new coordinates = M * old coordinates.
+    The node (1, m) has children X = (1, m-1), Y = the leaf m and
+    Z = (m+1, hi); it is replaced by (m, hi).  Returns (new_basis, M) with M
+    the exact change of basis: new coordinates = M * old coordinates.
+
+    The new basis is the sorted set of target states the old basis reaches.
+    That set is all of it: on each block of states that agree away from
+    (1, m), the F-move is a bijection between the admissible colors of (1, m)
+    and of (m, hi), because the fusion matrix is square.
     """
-    q_node, z_node = _children(shape, node)
-    if q_node[0] == q_node[1]:
-        raise ValueError(f"left child of {node} is a leaf; nothing to rewrite")
-    x_node, y_node = _children(shape, q_node)
-    r_node = (y_node[0], z_node[1])
-    new_shape = frozenset(s for s in shape if s != q_node) | {r_node}
-    new_basis = _enumerate_shape(new_shape, boundary, ring)
-    if len(new_basis) != len(basis):
-        raise ValueError("rewrite changed the dimension; inconsistent shape")
-    index_of = {
-        tuple(sorted(state.items())): idx for idx, state in enumerate(new_basis)
-    }
-    zero = Scalar.zero(ring)
-    rows = [[zero] * len(basis) for _ in range(len(new_basis))]
+    t_node, q_node, r_node = (1, hi), (1, m), (m, hi)
+    x_node, z_node = (1, m - 1), (m + 1, hi)
+    y = boundary[m - 1]
+    entries = {}
     for old_idx, state in enumerate(basis):
         x = _state_color(state, x_node, boundary)
-        y = _state_color(state, y_node, boundary)
         z = _state_color(state, z_node, boundary)
-        t = _state_color(state, node, boundary)
+        t = _state_color(state, t_node, boundary)
         q = state[q_node]
         base = {k: v for k, v in state.items() if k != q_node}
         for r in channel_colors(y, z, ring):
-            if not is_admissible_triple(x, r, t, ring):
-                continue
-            target = dict(base)
-            target[r_node] = r
-            new_idx = index_of[tuple(sorted(target.items()))]
-            rows[new_idx][old_idx] = sixj(x, y, q, z, t, r, ring)
-    M = RingMatrix(ring, rows)
-    return new_shape, new_basis, M
+            if is_admissible_triple(x, r, t, ring):
+                target = tuple(sorted({**base, r_node: r}.items()))
+                entries[target, old_idx] = sixj(x, y, q, z, t, r, ring)
+    targets = sorted({target for target, _ in entries})
+    if len(targets) != len(basis):
+        raise ValueError(f"rewrite at {q_node} changed the dimension")
+    index_of = {target: idx for idx, target in enumerate(targets)}
+    zero = Scalar.zero(ring)
+    rows = [[zero] * len(basis) for _ in targets]
+    for (target, old_idx), value in entries.items():
+        rows[index_of[target]][old_idx] = value
+    return [dict(target) for target in targets], RingMatrix(ring, rows)
 
 
 def interval_twist_matrix(
@@ -183,10 +136,10 @@ def interval_twist_matrix(
     if dim == 0:
         raise ValueError("zero-dimensional space")
 
-    def diagonal_on(node) -> RingMatrix:
+    def diagonal_on(node, states=basis, labels=labels) -> RingMatrix:
         entries = [
             twist_eigenvalue(ring, _state_color(s, node, boundary), inverse)
-            for s in basis
+            for s in states
         ]
         return RingMatrix.diagonal(ring, entries, labels=labels)
 
@@ -201,22 +154,13 @@ def interval_twist_matrix(
         # complementary curve on the sphere
         return diagonal_on((1, lo - 1))
 
-    shape = _comb_shape(n)
+    # rewriting (1, m) into (m, hi) for m = hi-1 down to lo makes (lo, hi) a node
     cur_basis = basis
     U = RingMatrix.identity(ring, dim)
-    # hi - lo rewrites under (1, hi) turn the left comb into a shape with (lo, hi)
-    for _ in range(hi - lo):
-        shape, cur_basis, M = _rewrite_move(shape, cur_basis, (1, hi), boundary, ring)
+    for m in range(hi - 1, lo - 1, -1):
+        cur_basis, M = _rewrite_move(cur_basis, m, hi, boundary, ring)
         U = M * U
-    target = (lo, hi)
-    assert target in shape
-    D = RingMatrix.diagonal(
-        ring,
-        [
-            twist_eigenvalue(ring, _state_color(s, target, boundary), inverse)
-            for s in cur_basis
-        ],
-    )
+    D = diagonal_on((lo, hi), cur_basis, None)
     result = U.inverse() * (D * U)
     return RingMatrix(ring, result.rows, row_labels=labels, col_labels=labels)
 

@@ -72,7 +72,7 @@ def test_decomposition_graph_rejects_bad_shapes():
     Finv = fusion_matrix(2, 2, 1, 1, GENERIC)
     wide = RingMatrix(GENERIC, [F.rows[0] + F.rows[0]])
     with pytest.raises(ValueError):
-        build_decomposition_graph(wide, wide.transpose())
+        build_decomposition_graph(wide, RingMatrix(GENERIC, [[x] for x in wide.rows[0]]))
     with pytest.raises(ValueError):
         build_decomposition_graph(F, RingMatrix(GENERIC, Finv.rows[:1]))
 

@@ -146,6 +146,22 @@ def test_replay_round_trip(capsys, tmp_path):
     code, out, err = run(capsys, "replay", "--file", str(path))
     assert code == 1
 
+    # malformed documents are usage errors (exit 2) with a message, not
+    # uncaught exceptions or the FAILED exit code
+    doc["status"] = "CERTIFIED"
+    witness = doc["children"][3]["checks"][0]["witness"]
+    malformed = []
+    del witness["values"]
+    malformed.append((json.dumps(doc), "KeyError: 'values'"))
+    doc["children"][3]["checks"][0]["witness"] = "values"
+    malformed.append((json.dumps(doc), "malformed certificate"))
+    malformed.append((json.dumps([doc]), "must be an object, got list"))
+    for text, message in malformed:
+        path.write_text(text)
+        code, out, err = run(capsys, "replay", "--file", str(path))
+        assert code == 2
+        assert message in err
+
 
 def test_sweep_dim_csv(capsys):
     code, out, _ = run(capsys, "sweep", "dim", "--p", "5", "--g", "0", "--b", "3",

