@@ -958,10 +958,29 @@ def replay_certificate(doc: dict) -> tuple:
     return status, problems
 
 
+def _trivial_status(claim: str, inst: dict) -> str | None:
+    """The status an irreducible or zariski-dense instance has on its own
+    (NOT_APPLICABLE or VACUOUS), or None when its space needs a proof."""
+    if claim == "zariski-dense" and inst["b"] < 4:
+        return NOT_APPLICABLE
+    dim = dimension(inst["g"], inst["b"], tuple(inst["colors"]), _ring_from_json(inst))
+    if dim == 0 and claim == "irreducible":
+        return NOT_APPLICABLE
+    return VACUOUS if dim <= 1 else None
+
+
 def _replay_node(doc: dict, problems: list, path: str) -> str:
     stored = doc.get("status")
     if stored in (VACUOUS, NOT_APPLICABLE):
-        return stored
+        claim = doc.get("claim")
+        if claim not in ("irreducible", "zariski-dense"):
+            return stored  # an empty decomposition step
+        derived = _trivial_status(claim, doc["instance"])
+        if derived == stored:
+            return stored
+        problems.append(f"{path}: stored status {stored}, but its instance gives "
+                        f"{derived or 'a space of dimension >= 2'}")
+        return FAILED
     replayed_checks = []
     for check in doc.get("checks", ()):
         got = _replay_check(check, problems, path)

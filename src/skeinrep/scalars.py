@@ -2,18 +2,20 @@
 
 Two rings are supported.  "generic" is the rational function field Q(A) in the
 skein variable A, with elements kept as reduced numerator/denominator pairs of
-Laurent polynomials.  "root_of_unity" is the cyclotomic field Q(zeta_4p) for an
-odd prime p >= 5, with A specialized to zeta_4p (a primitive 4p-th root of
-unity) and elements stored as rational coordinate vectors modulo the 4p-th
+Laurent polynomials over fractions.Fraction.  "root_of_unity" is the
+cyclotomic field Q(zeta_4p) for an odd prime p >= 5, with A specialized to
+zeta_4p (a primitive 4p-th root of unity) and elements stored as an integer
+coordinate vector over one positive common denominator, modulo the 4p-th
 cyclotomic polynomial.
 
-Everything here is exact (fractions.Fraction throughout) and immutable, so
-scalars can be dict keys and results are reproducible bit for bit.
+Everything here is exact and immutable, so scalars can be dict keys and
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,45 +93,60 @@ def _cyclotomic_4p(p: int) -> tuple[Fraction, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_reps(p: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced representatives of x^k mod Phi_4p for k = 0 .. 4p-1."""
+def _power_reps(p: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced integer representatives of x^k mod Phi_4p for k = 0 .. 4p-1."""
     deg = 2 * (p - 1)
-    phi = _cyclotomic_4p(p)
-    head = [-c for c in phi[:deg]]  # x^deg = head(x), since Phi_4p is monic
+    head = [-int(c) for c in _cyclotomic_4p(p)[:deg]]  # x^deg = head(x), Phi_4p is monic
     reps = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
+    cur = [0] * deg
+    cur[0] = 1
     for _ in range(4 * p):
         reps.append(tuple(cur))
         top = cur[deg - 1]
-        cur = [Fraction(0)] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             cur = [c + top * h for c, h in zip(cur, head)]
     return tuple(reps)
 
 
-def _vec_mul(p: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _vec_mul(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Product of two integer coordinate vectors, reduced mod Phi_4p."""
+    if a.count(0) < b.count(0):
+        a, b = b, a  # the outer loop skips zeros, so run it over the sparser factor
     deg = 2 * (p - 1)
-    conv = [Fraction(0)] * (2 * deg - 1)
+    conv = [0] * (2 * deg - 1)
     for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                conv[i + j] += ai * bj
-    reps = _power_reps(p)
-    out = [Fraction(0)] * deg
-    for k, ck in enumerate(conv):
-        if not ck:
-            continue
-        if k < deg:
-            out[k] += ck
+        if ai:
+            for k, bj in enumerate(b, i):
+                conv[k] += ai * bj
+    # x^(2p) = -1, then x^(2p-2) = -sum_k (-1)^k x^(2k) and x^(2p-1) = x * x^(2p-2)
+    for k in range(2 * p, 2 * deg - 1):
+        conv[k - 2 * p] -= conv[k]
+    even, odd = conv[deg], conv[deg + 1]
+    out = conv[:deg]
+    for k in range(p - 1):
+        if k % 2:
+            out[2 * k] += even
+            out[2 * k + 1] += odd
         else:
-            rep = reps[k]
-            for i, ri in enumerate(rep):
-                if ri:
-                    out[i] += ck * ri
-    return tuple(out)
+            out[2 * k] -= even
+            out[2 * k + 1] -= odd
+    return out
+
+
+def _rational_parts(text) -> tuple[int, int]:
+    """Numerator and positive denominator of a serialized coefficient."""
+    if type(text) is str:
+        num, sep, den = text.partition("/")
+        try:
+            n, m = int(num), int(den) if sep else 1
+        except ValueError:
+            pass
+        else:
+            if m > 0:
+                return n, m
+    q = Fraction(text)
+    return q.numerator, q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +308,30 @@ class Scalar:
     """Immutable ring element supporting exact +, -, *, /, ** and hashing.
 
     Generic payload: reduced Laurent fraction (num, den term tuples).
-    Root-of-unity payload: coordinate vector over the power basis of zeta_4p.
+    Root-of-unity payload: the coordinate vector over the power basis of
+    zeta_4p is _vec / _d, with _vec a tuple of ints and _d a positive int,
+    in lowest terms (gcd(_d, *_vec) == 1), so zero is the zero vector over 1.
     """
 
-    __slots__ = ("ring", "_vec", "_num", "_den", "_h")
+    __slots__ = ("ring", "_vec", "_d", "_num", "_den", "_h")
 
-    def __init__(self, ring: RingSpec, vec=None, num=None, den=None):
+    def __init__(self, ring: RingSpec, vec=None, num=None, den=None, d=1):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_vec", vec)
+        object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_h", None)
+
+    @classmethod
+    def _cyclotomic(cls, ring: RingSpec, vec, d: int) -> "Scalar":
+        """The root-of-unity element vec / d (d > 0), reduced to lowest terms."""
+        if d != 1:
+            g = math.gcd(d, *vec)
+            if g != 1:
+                vec = [c // g for c in vec]
+                d //= g
+        return cls(ring, vec=tuple(vec), d=d)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
@@ -312,9 +342,9 @@ class Scalar:
     def from_rational(cls, ring: RingSpec, q) -> "Scalar":
         q = Fraction(q)
         if ring.mode == "root_of_unity":
-            vec = [Fraction(0)] * ring.degree
-            vec[0] = q
-            return cls(ring, vec=tuple(vec))
+            vec = [0] * ring.degree
+            vec[0] = q.numerator
+            return cls(ring, vec=tuple(vec), d=q.denominator)
         num = ((0, q),) if q else ()
         return cls(ring, num=num, den=((0, Fraction(1)),))
 
@@ -357,7 +387,13 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self._vec is not None:
-            return Scalar(self.ring, vec=tuple(a + b for a, b in zip(self._vec, o._vec)))
+            d1, d2 = self._d, o._d
+            if d1 == d2:
+                return Scalar._cyclotomic(self.ring, [a + b for a, b in zip(self._vec, o._vec)], d1)
+            d = math.lcm(d1, d2)
+            s1, s2 = d // d1, d // d2
+            return Scalar._cyclotomic(
+                self.ring, [a * s1 + b * s2 for a, b in zip(self._vec, o._vec)], d)
         n1, d1 = dict(self._num), dict(self._den)
         n2, d2 = dict(o._num), dict(o._den)
         num = _lp_add(_lp_mul(n1, d2), _lp_mul(n2, d1))
@@ -368,7 +404,7 @@ class Scalar:
 
     def __neg__(self):
         if self._vec is not None:
-            return Scalar(self.ring, vec=tuple(-a for a in self._vec))
+            return Scalar(self.ring, vec=tuple(-a for a in self._vec), d=self._d)
         return Scalar(self.ring, num=tuple((e, -c) for e, c in self._num), den=self._den)
 
     def __sub__(self, other):
@@ -388,7 +424,8 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self._vec is not None:
-            return Scalar(self.ring, vec=_vec_mul(self.ring.p, self._vec, o._vec))
+            return Scalar._cyclotomic(self.ring, _vec_mul(self.ring.p, self._vec, o._vec),
+                                      self._d * o._d)
         num = _lp_mul(dict(self._num), dict(o._num))
         den = _lp_mul(dict(self._den), dict(o._den))
         num_t, den_t = _canon_fraction(num, den)
@@ -400,15 +437,17 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
         if self._vec is not None:
+            # (vec / d)^-1 = d * vec^-1, with vec^-1 from Euclid over Q
             p = self.ring.p
-            poly = _poly_trim(list(self._vec))
+            poly = _poly_trim([Fraction(c) for c in self._vec])
             g, u, _ = _poly_xgcd(poly, list(_cyclotomic_4p(p)))
             if len(g) != 1:
                 raise ZeroDivisionError("element is a zero divisor")  # cannot happen in a field
-            inv = [c / g[0] for c in u]
+            inv = [c * self._d / g[0] for c in u]
             _, rem = _poly_divmod(inv, list(_cyclotomic_4p(p)))
-            vec = rem + [Fraction(0)] * (self.ring.degree - len(rem))
-            return Scalar(self.ring, vec=tuple(vec))
+            rem += [Fraction(0)] * (self.ring.degree - len(rem))
+            d = math.lcm(*(c.denominator for c in rem))
+            return Scalar._cyclotomic(self.ring, [c.numerator * (d // c.denominator) for c in rem], d)
         num_t, den_t = _canon_fraction(dict(self._den), dict(self._num))
         return Scalar(self.ring, num=num_t, den=den_t)
 
@@ -427,12 +466,14 @@ class Scalar:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.invert()
+        if n == 0:
+            return Scalar.one(self.ring)
+        base = self if n > 0 else self.invert()
         n = abs(n)
-        out = Scalar.one(self.ring)
+        out = None
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if n > 1 else base
             n >>= 1
         return out
@@ -446,7 +487,7 @@ class Scalar:
         if self.ring != o.ring:
             return False
         if self._vec is not None:
-            return self._vec == o._vec
+            return self._vec == o._vec and self._d == o._d
         return self._num == o._num and self._den == o._den
 
     def __hash__(self):
@@ -456,7 +497,7 @@ class Scalar:
             if q is not None:
                 h = hash(q)  # keep hash compatible with == against int/Fraction
             elif self._vec is not None:
-                h = hash(("cyc", self.ring.p, self._vec))
+                h = hash(("cyc", self.ring.p, self._vec, self._d))
             else:
                 h = hash(("rf", self._num, self._den))
             object.__setattr__(self, "_h", h)
@@ -469,7 +510,7 @@ class Scalar:
         if self._vec is not None:
             if any(self._vec[1:]):
                 return None
-            return self._vec[0]
+            return Fraction(self._vec[0], self._d)
         if self._den != ((0, Fraction(1)),):
             return None
         if not self._num:
@@ -498,7 +539,7 @@ class Scalar:
 
     def __repr__(self):
         if self._vec is not None:
-            terms = tuple((e, c) for e, c in enumerate(self._vec) if c)
+            terms = tuple((e, Fraction(c, self._d)) for e, c in enumerate(self._vec) if c)
             body = _lp_str(terms).replace("A", "z") if terms else "0"
             return f"<{body} | z=zeta_{4 * self.ring.p}>"
         num = _lp_str(self._num)
@@ -513,7 +554,7 @@ class Scalar:
             return {
                 "mode": "root_of_unity",
                 "p": self.ring.p,
-                "coefficients": [str(c) for c in self._vec],
+                "coefficients": [str(Fraction(c, self._d)) for c in self._vec],
             }
         out = {
             "mode": "generic",
@@ -527,10 +568,11 @@ class Scalar:
 def scalar_from_json(data: dict) -> Scalar:
     if data["mode"] == "root_of_unity":
         ring = root_of_unity(int(data["p"]))
-        vec = tuple(Fraction(c) for c in data["coefficients"])
-        if len(vec) != ring.degree:
+        parts = [_rational_parts(c) for c in data["coefficients"]]
+        if len(parts) != ring.degree:
             raise ValueError("coefficient vector has wrong length")
-        return Scalar(ring, vec=vec)
+        d = math.lcm(*(m for _, m in parts))
+        return Scalar._cyclotomic(ring, [n * (d // m) for n, m in parts], d)
     if data["mode"] == "generic":
         num = {int(e): Fraction(c) for e, c in data["coefficients"].items()}
         den = {int(e): Fraction(c) for e, c in data.get("denominator", {"0": "1"}).items()}

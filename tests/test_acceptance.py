@@ -7,11 +7,13 @@ the exact arithmetic, not to benchmark.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 
+import skeinrep
 from skeinrep.certificates import (
     CERTIFIED,
     CERTIFIED_MODULO_ASSUMPTION,
@@ -261,10 +263,15 @@ def test_10_artifacts_are_deterministic():
     ]
     for d1, d2 in zip(docs, again):
         assert to_canonical_json(d1) == to_canonical_json(d2)
-    # a fresh interpreter produces the same bytes
+    # a fresh interpreter produces the same bytes; it imports the package
+    # this test imported, whether or not that package is installed
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(skeinrep.__file__)))
+    path = [package_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     cmd = [sys.executable, "-c",
            "from skeinrep.cli import main; main(['certify', 'irr', '--p', '5', "
            "'--g', '0', '--b', '4', '--colors', '1,1,1,1', '--json'])"]
-    runs = [subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)]
+    runs = [subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+            for _ in range(2)]
     assert runs[0] == runs[1] and runs[0]
     _budget(t0, 60, "determinism")

@@ -23,6 +23,7 @@ from skeinrep.certificates import (
     replay_certificate,
     to_canonical_json,
 )
+from skeinrep.density import certify_density
 from skeinrep.matrices import RingMatrix
 from skeinrep.recoupling import fusion_matrix
 from skeinrep.scalars import GENERIC, Scalar, a_power, root_of_unity
@@ -227,6 +228,33 @@ def test_replay_rejects_tampering():
     assert kill_scalar(bad)
     status, problems = replay_certificate(bad)
     assert status == FAILED and problems
+
+
+def test_replay_rederives_trivial_statuses():
+    # a 2-dimensional child relabelled VACUOUS, with its proof stripped
+    doc = certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()
+    child = doc["children"][3]
+    assert child["instance"]["colors"] == [1, 1, 2, 2] and child["status"] == CERTIFIED
+    child.update(status=VACUOUS, checks=[], children=[])
+    status, problems = replay_certificate(doc)
+    assert status == FAILED
+    assert any(msg.startswith("cert/3: stored status VACUOUS") for msg in problems)
+
+    # a dimension-1 leaf relabelled NOT_APPLICABLE
+    doc = certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()
+    assert doc["children"][0]["status"] == VACUOUS
+    doc["children"][0]["status"] = NOT_APPLICABLE
+    assert replay_certificate(doc)[0] == FAILED
+
+    # zariski-dense: fewer than four punctures, dimension 1, dimension >= 2
+    for colors, honest in (((1, 1, 2), NOT_APPLICABLE), ((1, 1, 1, 3), VACUOUS),
+                           ((1, 1, 1, 1), CERTIFIED)):
+        doc = certify_density(colors).to_json()
+        assert doc["status"] == honest
+        assert replay_certificate(doc) == (honest, [])
+        for forged in {VACUOUS, NOT_APPLICABLE} - {honest}:
+            doc["status"] = forged
+            assert replay_certificate(doc)[0] == FAILED, (colors, forged)
 
 
 def test_replay_rejects_unknown_schema():

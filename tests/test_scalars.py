@@ -1,15 +1,21 @@
 """Exact arithmetic in the generic ring Q(A) and the cyclotomic rings Q(zeta_4p)."""
 
+import functools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from skeinrep.certificates import to_canonical_json
 from skeinrep.scalars import (
     GENERIC,
     RingSpec,
     Scalar,
+    _cyclotomic_4p,
+    _poly_divmod,
+    _poly_trim,
+    _poly_xgcd,
     a_power,
     embed_generic,
     loop_value,
@@ -167,3 +173,96 @@ def test_equal_scalars_hash_equal():
     x = quantum_integer(GENERIC, 3)
     y = a_power(GENERIC, 4) + Scalar.one(GENERIC) + a_power(GENERIC, -4)
     assert x == y and hash(x) == hash(y)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the integer-scaled root-of-unity kernel: the Fraction-vector
+# product and the Fraction xgcd inverse it replaced, kept here as reference.
+
+@functools.lru_cache(maxsize=None)
+def _ref_power_reps(p):
+    deg = 2 * (p - 1)
+    head = [-c for c in _cyclotomic_4p(p)[:deg]]
+    reps, cur = [], [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    for _ in range(4 * p):
+        reps.append(tuple(cur))
+        top = cur[deg - 1]
+        cur = [Fraction(0)] + cur[:-1]
+        if top:
+            cur = [c + top * h for c, h in zip(cur, head)]
+    return reps
+
+
+def _ref_mul(p, a, b):
+    deg = 2 * (p - 1)
+    conv = [Fraction(0)] * (2 * deg - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    out = [Fraction(0)] * deg
+    for k, ck in enumerate(conv):
+        for i, ri in enumerate(_ref_power_reps(p)[k]):
+            out[i] += ck * ri
+    return tuple(out)
+
+
+def _ref_invert(p, a):
+    phi = list(_cyclotomic_4p(p))
+    g, u, _ = _poly_xgcd(_poly_trim(list(a)), phi)
+    assert len(g) == 1
+    _, rem = _poly_divmod([c / g[0] for c in u], phi)
+    return tuple(rem + [Fraction(0)] * (2 * (p - 1) - len(rem)))
+
+
+def _ref_json(p, a):
+    return {"mode": "root_of_unity", "p": p, "coefficients": [str(c) for c in a]}
+
+
+def _ref_vector(p, rng):
+    dens = rng.choice(((1,), (1, 2, 3, 6), tuple(range(1, 16))))
+    return tuple(Fraction(rng.randint(-9, 9), rng.choice(dens))
+                 if rng.random() < 0.7 else Fraction(0)
+                 for _ in range(2 * (p - 1)))
+
+
+def _as_ref(x):
+    return tuple(Fraction(c) for c in x.to_json()["coefficients"])
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_integer_kernel_matches_fraction_reference(p):
+    ring = root_of_unity(p)
+    rng = random.Random(4000 + p)
+    zero = (Fraction(0),) * ring.degree
+    vectors = [_ref_vector(p, rng) for _ in range(10)]
+    vectors += [zero, (Fraction(-7, 3),) + zero[1:], (Fraction(5),) + zero[1:]]
+    scalars = [scalar_from_json(_ref_json(p, v)) for v in vectors]
+    inverses = {}
+    for k, (v, x) in enumerate(zip(vectors, scalars)):
+        assert _as_ref(x) == v
+        blob = to_canonical_json(x.to_json())
+        assert blob == to_canonical_json(_ref_json(p, v))
+        assert scalar_from_json(json.loads(blob)) == x
+        if any(v):
+            inverses[k] = _ref_invert(p, v)
+            assert _ref_mul(p, v, inverses[k]) == (Fraction(1),) + zero[1:]
+            assert _as_ref(x.invert()) == inverses[k]
+    for k, (x, vx) in enumerate(zip(scalars, vectors)):
+        n = (k + 1) % len(vectors)
+        y, vy = scalars[n], vectors[n]
+        assert _as_ref(x + y) == tuple(a + b for a, b in zip(vx, vy))
+        assert _as_ref(x - y) == tuple(a - b for a, b in zip(vx, vy))
+        assert _as_ref(x * y) == _ref_mul(p, vx, vy)
+        if n in inverses:
+            assert _as_ref(x / y) == _ref_mul(p, vx, inverses[n])
+
+
+def test_rational_scalars_hash_like_rationals():
+    for ring in (R5, root_of_unity(13), GENERIC):
+        for q in (0, 1, -4, Fraction(3, 7), Fraction(-22, 5)):
+            x = Scalar.from_rational(ring, q)
+            assert x == q and hash(x) == hash(q)
+            assert x.as_rational() == q
+    # coefficients need not arrive in lowest terms
+    x = scalar_from_json(_ref_json(5, ("2/4", "0/3") + ("0",) * 6))
+    assert x == Fraction(1, 2) and x.to_json() == _ref_json(5, ("1/2",) + ("0",) * 7)
