@@ -1,12 +1,13 @@
 """Exact coefficient arithmetic for skein computations.
 
 Two rings are supported.  "generic" is the rational function field Q(A) in the
-skein variable A, with elements kept as reduced numerator/denominator pairs of
-Laurent polynomials over fractions.Fraction.  "root_of_unity" is the
-cyclotomic field Q(zeta_4p) for an odd prime p >= 5, with A specialized to
-zeta_4p (a primitive 4p-th root of unity) and elements stored as an integer
-coordinate vector over one positive common denominator, modulo the 4p-th
-cyclotomic polynomial.
+skein variable A, with elements kept as A^e * N(A) / D(A) for coprime integer
+polynomials N and D with no common integer factor; products use Kronecker
+substitution and the gcds the heuristic GCDHEU with a primitive-PRS fallback.
+"root_of_unity" is the cyclotomic field Q(zeta_4p) for an odd prime p >= 5,
+with A specialized to zeta_4p (a primitive 4p-th root of unity) and elements
+stored as an integer coordinate vector over one positive common denominator,
+modulo the 4p-th cyclotomic polynomial.
 
 Everything here is exact and immutable, so scalars can be dict keys and
 results are reproducible bit for bit.
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,12 +148,17 @@ def _rational_parts(text) -> tuple[int, int]:
         else:
             if m > 0:
                 return n, m
-    q = Fraction(text)
+            if m == 0:
+                raise ValueError(f"coefficient {text!r} has a zero denominator")
+    try:
+        q = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {text!r} has a zero denominator") from None
     return q.numerator, q.denominator
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over Q, used for inversion and gcd reduction.
+# Dense polynomial helpers over Q, used for root-of-unity inversion.
 # Polynomials are lists of Fractions, index = exponent, no trailing zeros.
 
 def _poly_trim(a: list[Fraction]) -> list[Fraction]:
@@ -172,15 +180,6 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
             a[shift + i] -= c * bi
         _poly_trim(a)
     return _poly_trim(q), a
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
 
 def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
     """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
@@ -221,65 +220,157 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomial helpers: sparse dicts exponent -> nonzero Fraction.
+# Integer polynomial helpers for the generic ring.  Polynomials are lists or
+# tuples of ints, index = exponent, no trailing zeros.
+#
+# Products use Kronecker substitution: a polynomial whose coefficients lie
+# below 2^(8nb-1) in magnitude is packed into its value at 2^(8nb), so that
+# one big-int product gives the product polynomial, whose coefficients are
+# read back as balanced base-2^(8nb) digits.  On a little-endian machine a
+# digit of 2, 4 or 8 bytes is converted by the array module in C.
 
-def _lp_add(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for e, c in g.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
+_SIGNED_ARRAY = ({array(code).itemsize: code for code in "hilq"}
+                 if sys.byteorder == "little" else {})
+
+
+def _digit_bytes(bits: int) -> int:
+    """Bytes per digit that hold every signed value below 2^bits in magnitude."""
+    for nb in (2, 4, 8):
+        if bits < 8 * nb:
+            return nb
+    return bits // 64 * 8 + 8
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_offset(n: int, nb: int) -> int:
+    """The n-digit number whose base-2^(8nb) digits are all 2^(8nb-1)."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+
+
+def _pack(f, nb: int) -> int:
+    """f(2^(8nb)), for coefficients below 2^(8nb-1) in magnitude."""
+    code = _SIGNED_ARRAY.get(nb)
+    if code:
+        raw = array(code, f).tobytes()
+    else:
+        raw = b"".join(c.to_bytes(nb, "little", signed=True) for c in f)
+    # two's-complement digits, XOR the sign bit: each digit becomes c + 2^(8nb-1)
+    off = _digit_offset(len(f), nb)
+    return (int.from_bytes(raw, "little") ^ off) - off
+
+
+def _unpack(v: int, nb: int, n: int | None = None) -> list[int]:
+    """The balanced base-2^(8nb) digits of v, lowest first, without trailing
+    zeros; n is the digit count, or None to take enough for v."""
+    if n is None:
+        n = (abs(v).bit_length() + 1) // (8 * nb) + 1
+    off = _digit_offset(n, nb)
+    raw = ((v + off) ^ off).to_bytes(n * nb, "little")
+    code = _SIGNED_ARRAY.get(nb)
+    if code:
+        out = array(code, raw).tolist()
+    else:
+        out = [int.from_bytes(raw[i:i + nb], "little", signed=True)
+               for i in range(0, len(raw), nb)]
+    while out and not out[-1]:
+        out.pop()
     return out
 
-def _lp_mul(f: dict, g: dict) -> dict:
-    out: dict[int, Fraction] = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = e1 + e2
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
 
-def _lp_to_dense(f: dict) -> tuple[int, list[Fraction]]:
-    """Split off the lowest exponent: f = A^shift * (ordinary polynomial)."""
-    if not f:
-        return 0, []
-    shift = min(f)
-    top = max(f)
-    dense = [Fraction(0)] * (top - shift + 1)
-    for e, c in f.items():
-        dense[e - shift] = c
-    return shift, dense
+def _norm_bits(f) -> int:
+    """Bit length of the largest coefficient magnitude of f."""
+    return max(max(f), -min(f)).bit_length()
 
-def _dense_to_lp(shift: int, dense: list[Fraction]) -> dict:
-    return {shift + i: c for i, c in enumerate(dense) if c}
 
-def _canon_fraction(num: dict, den: dict) -> tuple[tuple, tuple]:
-    """Reduce num/den: coprime, denominator an ordinary monic polynomial with
-    nonzero constant term (powers of A absorbed into the numerator)."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return (), ((0, Fraction(1)),)
-    dshift, ddense = _lp_to_dense(den)
-    nshift, ndense = _lp_to_dense(num)
-    nshift -= dshift
-    g = _poly_gcd(ndense, ddense)
-    if len(g) > 1:
-        ndense = _poly_divmod(ndense, g)[0]
-        ddense = _poly_divmod(ddense, g)[0]
-    lead = ddense[-1]
-    if lead != 1:
-        ndense = [c / lead for c in ndense]
-        ddense = [c / lead for c in ddense]
-    num_terms = tuple(sorted(_dense_to_lp(nshift, ndense).items()))
-    den_terms = tuple(sorted(_dense_to_lp(0, ddense).items()))
-    return num_terms, den_terms
+def _ipoly_mul(f, g) -> list[int]:
+    if not f or not g:
+        return []
+    if len(f) * len(g) <= 64 or min(len(f), len(g)) <= 2:  # schoolbook wins here
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for k, b in enumerate(g, i):
+                    out[k] += a * b
+        return out
+    nb = _digit_bytes(_norm_bits(f) + _norm_bits(g) + min(len(f), len(g)).bit_length())
+    return _unpack(_pack(f, nb) * _pack(g, nb), nb, len(f) + len(g) - 1)
+
+
+def _ipoly_gcd(f, g) -> tuple[list[int], list[int], list[int]]:
+    """(h, f/h, g/h) for nonzero integer polynomials f and g, with h their
+    greatest common divisor over Q, scaled to be primitive over Z.
+
+    GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 7, 1989): with
+    xi = 2^(8nb) >= 2 max(|f|, |g|) + 2, read h off the balanced xi-adic
+    digits of gcd(f(xi), g(xi)) and divide out its content c; read both
+    cofactors off the digits of f(xi) / h(xi) and g(xi) / h(xi), and keep
+    them only if h * f/h == f and h * g/h == g exactly.  Then h is the gcd:
+    a further common factor k (primitive over Z, degree >= 1) would need
+    k(xi) to divide c, and c <= xi/2 because the digits are balanced, while
+    every root of k lies below 1 + min(|f|, |g|) <= xi/2 in absolute value
+    (Cauchy), so |k(xi)| > xi/2.  When the digits fail the check, a
+    primitive PRS takes over.
+    """
+    f, g = list(f), list(g)
+    if len(f) == 1 or len(g) == 1:
+        return [1], f, g
+    nb = _digit_bytes(max(_norm_bits(f), _norm_bits(g)))
+    fx, gx = _pack(f, nb), _pack(g, nb)
+    hx = math.gcd(fx, gx)
+    h = _unpack(hx, nb)
+    c = math.gcd(*h)  # an integer factor of f(xi) and g(xi) that no polynomial shares
+    if c != 1:
+        h, hx = [a // c for a in h], hx // c
+    cf, cg = _unpack(fx // hx, nb), _unpack(gx // hx, nb)
+    if (len(h) + len(cf) == len(f) + 1 and len(h) + len(cg) == len(g) + 1
+            and _ipoly_mul(h, cf) == f and _ipoly_mul(h, cg) == g):
+        return h, cf, cg
+    h = _prs_gcd(f, g)
+    return h, _ipoly_exact_div(f, h), _ipoly_exact_div(g, h)
+
+
+def _primitive(f) -> list[int]:
+    c = math.gcd(*f)
+    return [a // c for a in f] if c != 1 else list(f)
+
+
+def _prs_gcd(f, g) -> list[int]:
+    """Primitive gcd over Z by the primitive polynomial remainder sequence."""
+    f, g = _primitive(f), _primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = list(f)  # pseudo-remainder of f by g, made primitive as it shrinks
+        lead = g[-1]
+        while len(r) >= len(g):
+            c, shift = r[-1], len(r) - len(g)
+            r = [a * lead for a in r]
+            for i, b in enumerate(g, shift):
+                r[i] -= c * b
+            _poly_trim(r)
+            if r:
+                r = _primitive(r)
+        if not r:
+            return g
+        f, g = g, r
+    return [1]
+
+
+def _ipoly_exact_div(f, h) -> list[int]:
+    """f / h for integer polynomials where h divides f over Z."""
+    r = list(f)
+    q = [0] * (len(f) - len(h) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + len(h) - 1], h[-1])
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q[k] = c
+        if c:
+            for i, b in enumerate(h, k):
+                r[i] -= c * b
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 def _lp_str(terms) -> str:
@@ -307,20 +398,25 @@ def _lp_str(terms) -> str:
 class Scalar:
     """Immutable ring element supporting exact +, -, *, /, ** and hashing.
 
-    Generic payload: reduced Laurent fraction (num, den term tuples).
+    Generic payload: A^_e * _num(A) / _den(A), with _num and _den tuples of
+    ints (index = exponent) in the one canonical form: _num[0] != 0 unless
+    the element is zero (then _num is empty, _den is (1,) and _e is 0),
+    _den[0] != 0 and _den[-1] > 0, gcd(_num, _den) = 1 over Q, and the
+    integer content of _num and _den together is 1.
     Root-of-unity payload: the coordinate vector over the power basis of
     zeta_4p is _vec / _d, with _vec a tuple of ints and _d a positive int,
     in lowest terms (gcd(_d, *_vec) == 1), so zero is the zero vector over 1.
     """
 
-    __slots__ = ("ring", "_vec", "_d", "_num", "_den", "_h")
+    __slots__ = ("ring", "_vec", "_d", "_num", "_den", "_e", "_h")
 
-    def __init__(self, ring: RingSpec, vec=None, num=None, den=None, d=1):
+    def __init__(self, ring: RingSpec, vec=None, num=None, den=None, d=1, e=0):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_vec", vec)
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_e", e)
         object.__setattr__(self, "_h", None)
 
     @classmethod
@@ -332,6 +428,28 @@ class Scalar:
                 vec = [c // g for c in vec]
                 d //= g
         return cls(ring, vec=tuple(vec), d=d)
+
+    @classmethod
+    def _fraction(cls, e: int, num: list[int], den: list[int], coprime: bool = False) -> "Scalar":
+        """The generic element A^e * num / den in canonical form.
+
+        num and den are int lists without trailing zeros, with den[0] != 0;
+        coprime says that gcd(num, den) = 1 is already known.
+        """
+        if not num:
+            return cls(GENERIC, num=(), den=(1,))
+        if not num[0]:
+            k = next(i for i, c in enumerate(num) if c)
+            num, e = num[k:], e + k
+        if not coprime:
+            _, num, den = _ipoly_gcd(num, den)
+        c = math.gcd(*num, *den)
+        if den[-1] < 0:
+            c = -c
+        if c != 1:
+            num = [a // c for a in num]
+            den = [b // c for b in den]
+        return cls(GENERIC, num=tuple(num), den=tuple(den), e=e)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
@@ -345,8 +463,9 @@ class Scalar:
             vec = [0] * ring.degree
             vec[0] = q.numerator
             return cls(ring, vec=tuple(vec), d=q.denominator)
-        num = ((0, q),) if q else ()
-        return cls(ring, num=num, den=((0, Fraction(1)),))
+        if not q:
+            return cls(ring, num=(), den=(1,))
+        return cls(ring, num=(q.numerator,), den=(q.denominator,))
 
     @classmethod
     def zero(cls, ring: RingSpec) -> "Scalar":
@@ -394,18 +513,33 @@ class Scalar:
             s1, s2 = d // d1, d // d2
             return Scalar._cyclotomic(
                 self.ring, [a * s1 + b * s2 for a, b in zip(self._vec, o._vec)], d)
-        n1, d1 = dict(self._num), dict(self._den)
-        n2, d2 = dict(o._num), dict(o._den)
-        num = _lp_add(_lp_mul(n1, d2), _lp_mul(n2, d1))
-        num_t, den_t = _canon_fraction(num, _lp_mul(d1, d2))
-        return Scalar(self.ring, num=num_t, den=den_t)
+        if not self._num:
+            return o
+        if not o._num:
+            return self
+        n1, n2, e = self._num, o._num, min(self._e, o._e)
+        if self._e > e:
+            n1 = (0,) * (self._e - e) + n1
+        if o._e > e:
+            n2 = (0,) * (o._e - e) + n2
+        d1, d2 = self._den, o._den
+        if d1 == d2:
+            den = d1
+        else:
+            n1, n2, den = _ipoly_mul(n1, d2), _ipoly_mul(n2, d1), _ipoly_mul(d1, d2)
+        if len(n1) < len(n2):
+            n1, n2 = n2, n1
+        num = list(n1)
+        for i, c in enumerate(n2):
+            num[i] += c
+        return Scalar._fraction(e, _poly_trim(num), den)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self._vec is not None:
             return Scalar(self.ring, vec=tuple(-a for a in self._vec), d=self._d)
-        return Scalar(self.ring, num=tuple((e, -c) for e, c in self._num), den=self._den)
+        return Scalar(self.ring, num=tuple(-c for c in self._num), den=self._den, e=self._e)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -426,10 +560,13 @@ class Scalar:
         if self._vec is not None:
             return Scalar._cyclotomic(self.ring, _vec_mul(self.ring.p, self._vec, o._vec),
                                       self._d * o._d)
-        num = _lp_mul(dict(self._num), dict(o._num))
-        den = _lp_mul(dict(self._den), dict(o._den))
-        num_t, den_t = _canon_fraction(num, den)
-        return Scalar(self.ring, num=num_t, den=den_t)
+        if not self._num or not o._num:
+            return Scalar.zero(self.ring)
+        # each factor is reduced, so only num1/den2 and num2/den1 can share factors
+        _, n1, d2 = _ipoly_gcd(self._num, o._den)
+        _, n2, d1 = _ipoly_gcd(o._num, self._den)
+        return Scalar._fraction(self._e + o._e, _ipoly_mul(n1, n2), _ipoly_mul(d1, d2),
+                                coprime=True)
 
     __rmul__ = __mul__
 
@@ -448,8 +585,10 @@ class Scalar:
             rem += [Fraction(0)] * (self.ring.degree - len(rem))
             d = math.lcm(*(c.denominator for c in rem))
             return Scalar._cyclotomic(self.ring, [c.numerator * (d // c.denominator) for c in rem], d)
-        num_t, den_t = _canon_fraction(dict(self._den), dict(self._num))
-        return Scalar(self.ring, num=num_t, den=den_t)
+        num, den = self._den, self._num
+        if den[-1] < 0:
+            num, den = tuple(-c for c in num), tuple(-c for c in den)
+        return Scalar(self.ring, num=num, den=den, e=-self._e)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -488,7 +627,7 @@ class Scalar:
             return False
         if self._vec is not None:
             return self._vec == o._vec and self._d == o._d
-        return self._num == o._num and self._den == o._den
+        return self._num == o._num and self._den == o._den and self._e == o._e
 
     def __hash__(self):
         h = self._h
@@ -499,7 +638,7 @@ class Scalar:
             elif self._vec is not None:
                 h = hash(("cyc", self.ring.p, self._vec, self._d))
             else:
-                h = hash(("rf", self._num, self._den))
+                h = hash((self._e, self._num, self._den))
             object.__setattr__(self, "_h", h)
         return h
 
@@ -511,13 +650,11 @@ class Scalar:
             if any(self._vec[1:]):
                 return None
             return Fraction(self._vec[0], self._d)
-        if self._den != ((0, Fraction(1)),):
-            return None
         if not self._num:
             return Fraction(0)
-        if len(self._num) == 1 and self._num[0][0] == 0:
-            return self._num[0][1]
-        return None
+        if self._e or len(self._num) != 1 or len(self._den) != 1:
+            return None
+        return Fraction(self._num[0], self._den[0])
 
     def leading_degree(self) -> int:
         """Top A-degree of a nonzero generic element, deg(num) - deg(den)."""
@@ -525,27 +662,31 @@ class Scalar:
             raise ValueError("leading_degree is only defined over Q(A)")
         if not self._num:
             raise ValueError("leading_degree of zero is undefined")
-        return self._num[-1][0] - self._den[-1][0]
+        return self._e + len(self._num) - len(self._den)
 
     def numerator_terms(self) -> tuple:
-        return self._num
+        """(exponent, Fraction) terms of the numerator over the monic denominator."""
+        lead = self._den[-1]
+        return tuple((self._e + i, Fraction(c, lead)) for i, c in enumerate(self._num) if c)
 
     def denominator_terms(self) -> tuple:
-        return self._den
+        """(exponent, Fraction) terms of the monic denominator, constant term nonzero."""
+        lead = self._den[-1]
+        return tuple((i, Fraction(c, lead)) for i, c in enumerate(self._den) if c)
 
     def is_laurent(self) -> bool:
         """True when the generic element has trivial denominator."""
-        return self._den == ((0, Fraction(1)),)
+        return len(self._den) == 1
 
     def __repr__(self):
         if self._vec is not None:
             terms = tuple((e, Fraction(c, self._d)) for e, c in enumerate(self._vec) if c)
             body = _lp_str(terms).replace("A", "z") if terms else "0"
             return f"<{body} | z=zeta_{4 * self.ring.p}>"
-        num = _lp_str(self._num)
+        num = _lp_str(self.numerator_terms())
         if self.is_laurent():
             return num
-        return f"({num})/({_lp_str(self._den)})"
+        return f"({num})/({_lp_str(self.denominator_terms())})"
 
     # -- serialization ---------------------------------------------------------
 
@@ -558,11 +699,26 @@ class Scalar:
             }
         out = {
             "mode": "generic",
-            "coefficients": {str(e): str(c) for e, c in self._num},
+            "coefficients": {str(e): str(c) for e, c in self.numerator_terms()},
         }
         if not self.is_laurent():
-            out["denominator"] = {str(e): str(c) for e, c in self._den}
+            out["denominator"] = {str(e): str(c) for e, c in self.denominator_terms()}
         return out
+
+
+def _integer_laurent(terms: dict) -> tuple[int, list[int], int]:
+    """(shift, f, m) with the serialized Laurent polynomial equal to
+    A^shift * f(A) / m, f an int list with f[0] and f[-1] nonzero, m > 0."""
+    parts = {int(e): _rational_parts(c) for e, c in terms.items()}
+    parts = {e: nm for e, nm in parts.items() if nm[0]}
+    if not parts:
+        return 0, [], 1
+    lo = min(parts)
+    m = math.lcm(*(d for _, d in parts.values()))
+    f = [0] * (max(parts) - lo + 1)
+    for e, (n, d) in parts.items():
+        f[e - lo] = n * (m // d)
+    return lo, f, m
 
 
 def scalar_from_json(data: dict) -> Scalar:
@@ -574,10 +730,11 @@ def scalar_from_json(data: dict) -> Scalar:
         d = math.lcm(*(m for _, m in parts))
         return Scalar._cyclotomic(ring, [n * (d // m) for n, m in parts], d)
     if data["mode"] == "generic":
-        num = {int(e): Fraction(c) for e, c in data["coefficients"].items()}
-        den = {int(e): Fraction(c) for e, c in data.get("denominator", {"0": "1"}).items()}
-        num_t, den_t = _canon_fraction(num, den)
-        return Scalar(GENERIC, num=num_t, den=den_t)
+        ne, num, nm = _integer_laurent(data["coefficients"])
+        de, den, dm = _integer_laurent(data.get("denominator", {"0": "1"}))
+        if not den:
+            raise ValueError("generic scalar has a zero denominator")
+        return Scalar._fraction(ne - de, [c * dm for c in num], [c * nm for c in den])
     raise ValueError(f"unknown scalar mode {data.get('mode')!r}")
 
 
@@ -585,7 +742,7 @@ def a_power(ring: RingSpec, k: int) -> Scalar:
     """The monomial A^k."""
     if ring.mode == "root_of_unity":
         return Scalar(ring, vec=_power_reps(ring.p)[k % (4 * ring.p)])
-    return Scalar(ring, num=((k, Fraction(1)),), den=((0, Fraction(1)),))
+    return Scalar(ring, num=(1,), den=(1,), e=k)
 
 
 def embed_generic(x: Scalar, ring: RingSpec) -> Scalar:

@@ -156,11 +156,37 @@ def test_replay_round_trip(capsys, tmp_path):
     doc["children"][3]["checks"][0]["witness"] = "values"
     malformed.append((json.dumps(doc), "malformed certificate"))
     malformed.append((json.dumps([doc]), "must be an object, got list"))
+    # a zero denominator in a serialized scalar, in either mode
+    code, out, _ = run(capsys, "certify", "dense", "--colors", "1,2,2,3,3,3", "--json")
+    dense = json.loads(out)
+    scalar = _first_witness_scalar(dense, "generic")
+    for zero in ({"0": "0"}, {}):
+        scalar["denominator"] = zero
+        malformed.append((json.dumps(dense), "zero denominator"))
+    code, out, _ = run(capsys, "certify", "irr", "--p", "5", "--g", "0", "--b", "4",
+                       "--colors", "1,1,1,1", "--json")
+    irr = json.loads(out)
+    _first_witness_scalar(irr, "root_of_unity")["coefficients"][0] = "1/0"
+    malformed.append((json.dumps(irr), "zero denominator"))
     for text, message in malformed:
         path.write_text(text)
         code, out, err = run(capsys, "replay", "--file", str(path))
         assert code == 2
         assert message in err
+
+
+def _first_witness_scalar(doc, mode):
+    """The first serialized scalar of the given mode inside a check witness."""
+    stack = [(doc, False)]
+    while stack:
+        node, in_witness = stack.pop()
+        if isinstance(node, dict):
+            if in_witness and node.get("mode") == mode and "coefficients" in node:
+                return node
+            stack.extend((v, in_witness or k == "witness") for k, v in reversed(node.items()))
+        elif isinstance(node, list):
+            stack.extend((v, in_witness) for v in reversed(node))
+    raise AssertionError(f"no {mode} witness scalar")
 
 
 def test_sweep_dim_csv(capsys):

@@ -1,8 +1,8 @@
-"""Root-of-unity outputs pinned byte for byte.
+"""Root-of-unity and generic outputs pinned byte for byte.
 
 Each entry is the first 12 hex digits of the SHA-256 of the output's
-canonical JSON, recorded with the Fraction-vector kernel that preceded the
-integer-scaled one.  Any change to the scalar kernel, the recoupling symbols
+canonical JSON, recorded with the Fraction kernels that preceded the
+integer-scaled ones.  Any change to the scalar kernel, the recoupling symbols
 or the certificate layout that alters a single byte fails here.
 """
 
@@ -11,8 +11,9 @@ import hashlib
 import pytest
 
 from skeinrep.certificates import certify_irreducible, to_canonical_json
-from skeinrep.recoupling import fusion_matrix
-from skeinrep.scalars import root_of_unity
+from skeinrep.density import certify_density
+from skeinrep.recoupling import fusion_matrix, tet
+from skeinrep.scalars import GENERIC, root_of_unity
 from skeinrep.twists import pure_braid_twist
 
 PINNED = [
@@ -25,9 +26,26 @@ PINNED = [
      "833f8a0a0e0c"),
 ]
 
+GENERIC_PINNED = [
+    ("fusion 6666", lambda: fusion_matrix(6, 6, 6, 6, GENERIC), "38004ad6c193"),
+    ("twist", lambda: pure_braid_twist(5, (2, 4), (1, 2, 2, 2, 3), GENERIC), "72761dad2c07"),
+    ("tet 332332", lambda: tet(3, 3, 2, 3, 3, 2, GENERIC), "f311e3425ac4"),
+    ("certify dense", lambda: certify_density((1, 2, 2, 3, 3, 3)), "3f126ee2a25a"),
+]
+
 
 @pytest.mark.parametrize("build, prefix", [(b, h) for _, b, h in PINNED],
                          ids=[name for name, _, _ in PINNED])
 def test_root_of_unity_output_bytes(build, prefix):
-    blob = to_canonical_json(build().to_json()).encode()
-    assert hashlib.sha256(blob).hexdigest()[:12] == prefix
+    assert _digest(build()) == prefix
+
+
+@pytest.mark.parametrize("build, prefix", [(b, h) for _, b, h in GENERIC_PINNED],
+                         ids=[name for name, _, _ in GENERIC_PINNED])
+def test_generic_output_bytes(build, prefix):
+    assert _digest(build()) == prefix
+
+
+def _digest(value) -> str:
+    blob = to_canonical_json(value.to_json()).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]

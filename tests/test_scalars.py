@@ -2,20 +2,25 @@
 
 import functools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import skeinrep.scalars as scalars_module
 from skeinrep.certificates import to_canonical_json
 from skeinrep.scalars import (
     GENERIC,
     RingSpec,
     Scalar,
     _cyclotomic_4p,
+    _ipoly_gcd,
+    _ipoly_mul,
     _poly_divmod,
     _poly_trim,
     _poly_xgcd,
+    _prs_gcd,
     a_power,
     embed_generic,
     loop_value,
@@ -24,6 +29,7 @@ from skeinrep.scalars import (
     root_of_unity,
     scalar_from_json,
 )
+from skeinrep.twists import pure_braid_twist
 
 R5 = root_of_unity(5)
 R7 = root_of_unity(7)
@@ -266,3 +272,234 @@ def test_rational_scalars_hash_like_rationals():
     # coefficients need not arrive in lowest terms
     x = scalar_from_json(_ref_json(5, ("2/4", "0/3") + ("0",) * 6))
     assert x == Fraction(1, 2) and x.to_json() == _ref_json(5, ("1/2",) + ("0",) * 7)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the integer-coefficient generic kernel: the Fraction Laurent
+# arithmetic and Euclid gcd it replaced, kept here as reference.  A reference
+# element is a (numerator, denominator) pair of sorted (exponent, Fraction)
+# term tuples, the denominator monic with a nonzero constant term.
+
+def _ref_lp_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        s = out.get(e, Fraction(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _ref_lp_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = e1 + e2
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _ref_lp_to_dense(f):
+    if not f:
+        return 0, []
+    shift = min(f)
+    dense = [Fraction(0)] * (max(f) - shift + 1)
+    for e, c in f.items():
+        dense[e - shift] = c
+    return shift, dense
+
+
+def _ref_poly_gcd(a, b):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    if a:
+        a = [c / a[-1] for c in a]
+    return a
+
+
+def _ref_canon(num, den):
+    num, den = dict(num), dict(den)
+    assert den
+    if not num:
+        return (), ((0, Fraction(1)),)
+    dshift, ddense = _ref_lp_to_dense(den)
+    nshift, ndense = _ref_lp_to_dense(num)
+    nshift -= dshift
+    g = _ref_poly_gcd(ndense, ddense)
+    if len(g) > 1:
+        ndense = _poly_divmod(ndense, g)[0]
+        ddense = _poly_divmod(ddense, g)[0]
+    lead = ddense[-1]
+    ndense = [c / lead for c in ndense]
+    ddense = [c / lead for c in ddense]
+    return (tuple((nshift + i, c) for i, c in enumerate(ndense) if c),
+            tuple((i, c) for i, c in enumerate(ddense) if c))
+
+
+def _ref_gen_add(x, y):
+    (n1, d1), (n2, d2) = (tuple(map(dict, x)), tuple(map(dict, y)))
+    return _ref_canon(_ref_lp_add(_ref_lp_mul(n1, d2), _ref_lp_mul(n2, d1)), _ref_lp_mul(d1, d2))
+
+
+def _ref_gen_mul(x, y):
+    return _ref_canon(_ref_lp_mul(dict(x[0]), dict(y[0])), _ref_lp_mul(dict(x[1]), dict(y[1])))
+
+
+def _ref_gen_neg(x):
+    return tuple((e, -c) for e, c in x[0]), x[1]
+
+
+def _ref_gen_inv(x):
+    return _ref_canon(x[1], x[0])
+
+
+def _ref_generic_json(x):
+    out = {"mode": "generic", "coefficients": {str(e): str(c) for e, c in x[0]}}
+    if x[1] != ((0, Fraction(1)),):
+        out["denominator"] = {str(e): str(c) for e, c in x[1]}
+    return out
+
+
+def _terms(x):
+    return x.numerator_terms(), x.denominator_terms()
+
+
+def _ref_laurent(rng, span=6):
+    out = {}
+    for _ in range(rng.randint(1, 5)):
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        if c:
+            out[rng.randint(-span, span)] = c
+    return out or {rng.randint(-span, span): Fraction(rng.randint(1, 3))}
+
+
+def _ref_fraction_doc(num, den):
+    """A serialized generic scalar num/den, neither reduced nor monic."""
+    return {"mode": "generic",
+            "coefficients": {str(e): str(c) for e, c in num.items()},
+            "denominator": {str(e): str(c) for e, c in den.items()}}
+
+
+def test_generic_kernel_matches_fraction_reference():
+    rng = random.Random(5005)
+    q2 = {2: Fraction(1), -2: Fraction(1)}
+    shared = [q2, _ref_lp_mul(q2, q2), {4: Fraction(1), 0: Fraction(1), -4: Fraction(1)},
+              {0: Fraction(2, 3), 3: Fraction(-1)}, {-1: Fraction(1), 1: Fraction(-5, 2)}]
+    common_den = _ref_lp_mul(shared[0], {0: Fraction(3), 2: Fraction(1)})
+    docs, refs = [], []
+    for k in range(24):
+        factor = rng.choice(shared) if k % 3 else _ref_laurent(rng, 3)
+        num = _ref_lp_mul(_ref_laurent(rng), factor)
+        den = _ref_lp_mul(common_den if k % 4 == 0 else _ref_laurent(rng), factor)
+        docs.append(_ref_fraction_doc(num, den))
+        refs.append(_ref_canon(num, den))
+    docs.append({"mode": "generic", "coefficients": {}})
+    refs.append(((), ((0, Fraction(1)),)))
+    for q in (Fraction(-7, 3), Fraction(4)):
+        docs.append({"mode": "generic", "coefficients": {"0": str(q)}})
+        refs.append((((0, q),), ((0, Fraction(1)),)))
+    scalars = [scalar_from_json(doc) for doc in docs]
+    for x, rx in zip(scalars, refs):
+        assert _terms(x) == rx
+        blob = to_canonical_json(x.to_json())
+        assert blob == to_canonical_json(_ref_generic_json(rx))
+        assert scalar_from_json(json.loads(blob)) == x
+        if rx[0]:
+            assert x.leading_degree() == rx[0][-1][0] - rx[1][-1][0]
+            assert _terms(x.invert()) == _ref_gen_inv(rx)
+            assert _terms(x ** -2) == _ref_gen_mul(_ref_gen_inv(rx), _ref_gen_inv(rx))
+            assert x * x.invert() == 1 and hash(x * x.invert()) == hash(1)
+        assert _terms(x ** 3) == _ref_gen_mul(rx, _ref_gen_mul(rx, rx))
+    for k, (x, rx) in enumerate(zip(scalars, refs)):
+        for n in ((k + 1) % len(scalars), (k + 4) % len(scalars)):
+            y, ry = scalars[n], refs[n]
+            assert _terms(x + y) == _ref_gen_add(rx, ry)
+            assert _terms(x - y) == _ref_gen_add(rx, _ref_gen_neg(ry))
+            assert _terms(x * y) == _ref_gen_mul(rx, ry)
+            assert (x == y) == (rx == ry)
+            if ry[0]:
+                assert _terms(x / y) == _ref_gen_mul(rx, _ref_gen_inv(ry))
+    for q in (0, 1, -4, Fraction(3, 7), Fraction(-22, 5)):
+        assert hash(Scalar.from_rational(GENERIC, q)) == hash(q)
+        assert hash(scalars[0] - scalars[0] + q) == hash(q)
+
+
+def _random_ipoly(rng, terms, bits):
+    f = [rng.randint(-(1 << bits), 1 << bits) for _ in range(terms)]
+    f[0] = f[0] or 1
+    f[-1] = f[-1] or 1
+    return f
+
+
+def _coprime_mod(f, g, p=(1 << 61) - 1):
+    """True when f and g are coprime mod the prime p, with f[-1] a unit mod p;
+    then they are coprime over Q as well."""
+    assert f[-1] % p
+    a, b = [c % p for c in f], [c % p for c in g]
+    while b:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            break
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, bi in enumerate(b, shift):
+                a[i] = (a[i] - c * bi) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _check_gcd(f, g, h, cf, cg):
+    """h is the primitive gcd of f and g, with exact cofactors cf and cg."""
+    assert _ipoly_mul(h, cf) == f and _ipoly_mul(h, cg) == g
+    assert math.gcd(*h) == 1
+    assert _coprime_mod(cf, cg)
+
+
+def test_integer_gcd_paths_agree(monkeypatch):
+    fallbacks = []
+
+    def recording_prs_gcd(f, g):
+        fallbacks.append((list(f), list(g)))
+        return _prs_gcd(f, g)
+
+    monkeypatch.setattr(scalars_module, "_prs_gcd", recording_prs_gcd)
+    rng = random.Random(8080)
+    # random h*F, h*G pairs; bits >= 20 puts the coefficients past the
+    # min(B, 99 sqrt(B)) cap of a capped evaluation point, and bits = 140
+    # needs digits wider than 8 bytes
+    for bits, terms in ((3, 24), (12, 24), (20, 24), (24, 24), (40, 24), (48, 24), (140, 12)):
+        for _ in range(6):
+            h = _random_ipoly(rng, rng.randint(1, terms // 2), bits // 2)
+            f = _ipoly_mul(h, _random_ipoly(rng, rng.randint(1, terms), bits // 2))
+            g = _ipoly_mul(h, _random_ipoly(rng, rng.randint(1, terms), bits // 2))
+            got = _ipoly_gcd(f, g)
+            _check_gcd(f, g, *got)
+            prs = _prs_gcd(f, g)
+            assert got[0] in (prs, [-c for c in prs])
+            assert [Fraction(c, prs[-1]) for c in prs] == _ref_poly_gcd(
+                [Fraction(c) for c in f], [Fraction(c) for c in g])
+    assert not fallbacks
+    # digits of the right lengths whose product is not f: only the product check
+    # rejects them
+    f, g = [-3864, -7896, 5376, 4326], [840, -9534]
+    _check_gcd(f, g, *_ipoly_gcd(f, g))
+    assert fallbacks == [(f, g)]
+    fallbacks.clear()
+    # a generic twist whose rewrite moves reach gcds the evaluation misses:
+    # gcd(f(xi), g(xi)) carries an integer factor too large to divide out
+    pure_braid_twist(5, (2, 4), (2, 3, 3, 2, 2), GENERIC)
+    real = list(fallbacks)
+    assert real
+    for f, g in real:
+        _check_gcd(f, g, *_ipoly_gcd(f, g))
+    assert fallbacks == real + real
