@@ -98,9 +98,56 @@ class Certificate:
         }
 
 
+_PLACEHOLDER = "\0child"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+
+
 def to_canonical_json(doc: dict) -> str:
-    """Deterministic serialization: fixed key order, fixed layout, no clocks."""
+    """Deterministic serialization: fixed key order, fixed layout, no clocks.
+
+    The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+    A certificate tree repeats the subtrees of shared sub-instances, and the
+    indenting encoder is pure Python, so each distinct node is rendered once:
+    its fields other than ``children`` are dumped with a placeholder string
+    per child, split on the placeholder, re-indented for the node's depth and
+    cached under the node's compact dump (which the C encoder writes) and that
+    depth.  Every occurrence then splices cached pieces around its children.
+    The key is the node's content, never its ``id``, so the text depends only
+    on the document's value.  Any document that is not a tree of dicts each
+    with a ``children`` list of dicts, or whose fields contain the placeholder
+    itself, takes the plain ``json.dumps`` line.
+    """
+    out: list = []
+    if isinstance(doc, dict) and _append_node(doc, 0, {}, out):
+        out.append("\n")
+        return "".join(out)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _append_node(node: dict, level: int, cache: dict, out: list) -> bool:
+    """Append the indented text of `node` at indent `level` to `out`; False
+    when some node cannot be rendered piecewise."""
+    children = node.get("children")
+    if type(children) is not list or not all(isinstance(c, dict) for c in children):
+        return False
+    shell = dict(node)
+    shell["children"] = [_PLACEHOLDER] * len(children)
+    key = (json.dumps(shell, sort_keys=True, separators=(",", ":")), level)
+    pieces = cache.get(key)
+    if pieces is None:
+        pieces = json.dumps(shell, sort_keys=True, indent=2).split(_PLACEHOLDER_JSON)
+        if len(pieces) != len(children) + 1:
+            return False
+        if level:
+            pad = "\n" + "  " * level
+            pieces = [piece.replace("\n", pad) for piece in pieces]
+        cache[key] = pieces
+    out.append(pieces[0])
+    for child, piece in zip(children, pieces[1:]):
+        if not _append_node(child, level + 2, cache, out):
+            return False
+        out.append(piece)
+    return True
 
 
 def _aggregate_status(checks: Sequence[CheckRecord], children: Sequence[Certificate],
@@ -855,11 +902,15 @@ def _replay_check(check: dict, problems: list, path: str) -> str:
             if v.is_zero():
                 problems.append(f"{where}: stored value {k} is zero")
                 return CHECK_FAILED
+        if "channels" in wit and not _values_match_channels(wit["channels"], vals, where,
+                                                            problems):
+            return CHECK_FAILED
         return PASSED if _first_duplicate(vals) is None else CHECK_FAILED
 
     if kind == "nonzero_scalars":
-        for e in wit["entries"]:
+        for k, e in enumerate(wit["entries"]):
             if scalar_from_json(e["scalar"]).is_zero():
+                problems.append(f"{where}: entry {k} scalar is zero")
                 return CHECK_FAILED
         return PASSED
 
@@ -889,9 +940,11 @@ def _replay_check(check: dict, problems: list, path: str) -> str:
     if kind == "admissible_triples":
         ring = _ring_from_json(wit["ring"])
         for t in wit["triples"]:
-            if is_admissible_triple(*t["triple"], ring) != t["admissible"]:
-                return CHECK_FAILED
             if not t["admissible"]:
+                problems.append(f"{where}: triple {t['triple']} is stored inadmissible")
+                return CHECK_FAILED
+            if not is_admissible_triple(*t["triple"], ring):
+                problems.append(f"{where}: triple {t['triple']} inadmissible")
                 return CHECK_FAILED
         return PASSED
 
@@ -901,23 +954,33 @@ def _replay_check(check: dict, problems: list, path: str) -> str:
         for rec in wit["pairs"]:
             via = rec["via"]
             if via is None:
+                problems.append(f"{where}: pair {rec['pair']} has no shared neighbor")
                 return CHECK_FAILED
             i, i2 = rec["pair"]
             if not (is_admissible_triple(i, via, a, ring)
                     and is_admissible_triple(i2, via, a, ring)):
+                problems.append(f"{where}: pair {rec['pair']} does not meet via {via}")
                 return CHECK_FAILED
         return PASSED
 
     if kind == "dimension":
         ring = _ring_from_json(wit["ring"])
         d = dimension(wit["g"], wit["b"], tuple(wit["colors"]), ring)
-        return PASSED if d == wit["value"] == wit["expected"] else CHECK_FAILED
+        if d == wit["value"] == wit["expected"]:
+            return PASSED
+        problems.append(f"{where}: dimension of {wit['colors']} is {d}, stored value "
+                        f"{wit['value']}, expected {wit['expected']}")
+        return CHECK_FAILED
 
     if kind == "reduction":
         ring = _ring_from_json(wit["ring"])
         d_from = dimension(wit["g"], wit["from"]["b"], tuple(wit["from"]["colors"]), ring)
         d_to = dimension(wit["g"], wit["to"]["b"], tuple(wit["to"]["colors"]), ring)
-        return PASSED if d_from == d_to == wit["dims"][0] else CHECK_FAILED
+        if d_from == d_to == wit["dims"][0]:
+            return PASSED
+        problems.append(f"{where}: dimensions {d_from} of {wit['from']['colors']} and "
+                        f"{d_to} of {wit['to']['colors']}, stored {wit['dims'][0]}")
+        return CHECK_FAILED
 
     if kind == "dimension_list":
         ring = _ring_from_json(wit["ring"])
@@ -941,6 +1004,24 @@ def _replay_check(check: dict, problems: list, path: str) -> str:
 
     problems.append(f"{where}: unknown witness kind {kind!r}")
     return CHECK_FAILED
+
+
+def _values_match_channels(channels: list, vals: list, where: str, problems: list) -> bool:
+    """Each stored value must be the twist eigenvalue of its stored channel."""
+    if len(channels) != len(vals):
+        problems.append(f"{where}: {len(channels)} channels for {len(vals)} values")
+        return False
+    for k, (c, v) in enumerate(zip(channels, vals)):
+        try:
+            ok = twist_eigenvalue(v.ring, c) == v
+        except ValueError as e:
+            problems.append(f"{where}: channel {k}: {e}")
+            return False
+        if not ok:
+            problems.append(f"{where}: stored value {k} is not the twist eigenvalue "
+                            f"of channel {c}")
+            return False
+    return True
 
 
 def replay_certificate(doc: dict) -> tuple:

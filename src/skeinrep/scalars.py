@@ -469,11 +469,11 @@ class Scalar:
 
     @classmethod
     def zero(cls, ring: RingSpec) -> "Scalar":
-        return cls.from_rational(ring, 0)
+        return _rational_scalar(ring, 0)
 
     @classmethod
     def one(cls, ring: RingSpec) -> "Scalar":
-        return cls.from_rational(ring, 1)
+        return _rational_scalar(ring, 1)
 
     # -- predicates ----------------------------------------------------------
 
@@ -496,7 +496,7 @@ class Scalar:
                 raise ValueError("mixed rings: " + f"{self.ring} vs {other.ring}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar.from_rational(self.ring, other)
+            return _rational_scalar(self.ring, other)
         return None
 
     # -- arithmetic ----------------------------------------------------------
@@ -762,6 +762,13 @@ def embed_generic(x: Scalar, ring: RingSpec) -> Scalar:
     if den.is_zero():
         raise ZeroDivisionError("denominator vanishes at this root of unity")
     return ev(x.numerator_terms()) / den
+
+
+@functools.lru_cache(maxsize=1024)
+def _rational_scalar(ring: RingSpec, q) -> Scalar:
+    """The constant q, for zero(), one() and int or Fraction operands; Scalar
+    is immutable, so one object serves every use of the same value."""
+    return Scalar.from_rational(ring, q)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from skeinrep.certificates import (
 from skeinrep.density import certify_density
 from skeinrep.matrices import RingMatrix
 from skeinrep.recoupling import fusion_matrix
-from skeinrep.scalars import GENERIC, Scalar, a_power, root_of_unity
+from skeinrep.scalars import GENERIC, Scalar, a_power, root_of_unity, scalar_from_json
 
 R5 = root_of_unity(5)
 R7 = root_of_unity(7)
@@ -207,7 +207,9 @@ def test_replay_rejects_tampering():
 
     assert bump_dimension(bad_genus)
     status, problems = replay_certificate(bad_genus)
-    assert status == FAILED and problems
+    assert status == FAILED
+    assert "cert/0/0/dimension-count: dimension of [] is 4, stored value 5, expected 5" \
+        in problems
 
     # zero out a scalar that the certificate claims is nonzero
     bad = copy.deepcopy(doc)
@@ -227,7 +229,90 @@ def test_replay_rejects_tampering():
 
     assert kill_scalar(bad)
     status, problems = replay_certificate(bad)
-    assert status == FAILED and problems
+    assert status == FAILED
+    assert any(m.endswith("lowest-channel-column-nonzero: entry 0 scalar is zero")
+               for m in problems), problems
+
+    # the failing entry is named for every per-entry witness kind
+    def tamper(kind, edit):
+        bad = copy.deepcopy(genus_doc if kind in ("admissible_triples", "reduction")
+                            else doc)
+        wit = _first_witness(bad, kind)
+        edit(wit)
+        status, problems = replay_certificate(bad)
+        assert status == FAILED
+        return problems
+
+    def forge_triple(wit):
+        wit["triples"][0].update(triple=[1, 2, 2], admissible=True)
+
+    problems = tamper("admissible_triples", forge_triple)
+    assert any("hub-meets-every-summand: triple [1, 2, 2] inadmissible" in m
+               for m in problems), problems
+
+    def unlink_pair(wit):
+        wit["pairs"][0]["via"] = None
+
+    problems = tamper("chain", unlink_pair)
+    assert any(": pair [0, 2] has no shared neighbor" in m for m in problems), problems
+
+    def bump_reduction(wit):
+        wit["dims"][0] += 1
+
+    problems = tamper("reduction", bump_reduction)
+    assert "cert/0/zero-color-erasure-preserves-dimension: dimensions 4 of [0] and " \
+        "4 of [], stored 5" in problems
+
+
+def _first_witness(node, kind):
+    """The first witness of `kind` in preorder."""
+    for check in node["checks"]:
+        if check["witness"].get("kind") == kind:
+            return check["witness"]
+    for child in node["children"]:
+        wit = _first_witness(child, kind)
+        if wit is not None:
+            return wit
+    return None
+
+
+def test_replay_binds_values_to_channels():
+    doc = certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()
+    wit = _first_witness(doc, "distinct_values")
+    assert len(wit["channels"]) >= 2
+    assert replay_certificate(doc) == (doc["status"], [])
+
+    # swapped channels: each value is some channel's eigenvalue, at the wrong place
+    bad = copy.deepcopy(doc)
+    channels = _first_witness(bad, "distinct_values")["channels"]
+    channels[0], channels[1] = channels[1], channels[0]
+    status, problems = replay_certificate(bad)
+    assert status == FAILED
+    assert any("stored value 0 is not the twist eigenvalue of channel" in m
+               for m in problems), problems
+
+    # one value moved to another unit that keeps the list distinct
+    bad = copy.deepcopy(doc)
+    values = _first_witness(bad, "distinct_values")["values"]
+    shifted = scalar_from_json(values[-1]) * a_power(R7, 2)
+    assert shifted not in [scalar_from_json(v) for v in values]
+    values[-1] = shifted.to_json()
+    status, problems = replay_certificate(bad)
+    assert status == FAILED
+    assert any(f"stored value {len(values) - 1} is not the twist eigenvalue" in m
+               for m in problems), problems
+
+    # a channel outside the ring's colors is a problem, not an exception
+    bad = copy.deepcopy(doc)
+    _first_witness(bad, "distinct_values")["channels"][0] = 9
+    status, problems = replay_certificate(bad)
+    assert status == FAILED
+    assert any("channel 0: color 9 out of range" in m for m in problems), problems
+
+    # the one-holed torus stores exponents, not channels: the old check holds
+    torus = certify_one_holed_torus(7, 1).to_json()
+    assert "channels" not in _first_witness(torus, "distinct_values")
+    assert replay_certificate(torus) == (torus["status"], [])
 
 
 def test_replay_rederives_trivial_statuses():
@@ -272,6 +357,73 @@ def test_canonical_json_deterministic():
     assert s1 == s2
     assert s1.endswith("\n")
     json.loads(s1)  # well-formed
+
+
+def _indented(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_json_is_indented_dumps():
+    docs = [certify_irreducible(7, 3, 0, ()).to_json(),
+            certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json(),
+            certify_density((1, 2, 2, 3, 3, 3)).to_json()]
+    for doc in docs:
+        assert to_canonical_json(doc) == _indented(doc)
+
+    # one occurrence of a shared subtree edited, the others left alone
+    doc = docs[0]
+    seen = {}
+
+    def find_repeat(node):
+        for child in node["children"]:
+            key = json.dumps(child, sort_keys=True)
+            if key in seen:
+                return child
+            seen[key] = child
+            repeat = find_repeat(child)
+            if repeat is not None:
+                return repeat
+        return None
+
+    repeat = find_repeat(doc)
+    assert repeat is not None
+    before = to_canonical_json(doc)
+    repeat["detail"] += " (edited)"
+    repeat["checks"][0]["witness"]["edited"] = [1, {"deep": True}]
+    after = to_canonical_json(doc)
+    assert after == _indented(doc) and after != before
+    assert after.count("(edited)") == 1
+
+    # a leaf with no children, and a node whose fields hold nested containers
+    leaf = {"name": "leaf", "children": []}
+    assert to_canonical_json(leaf) == _indented(leaf)
+    nested = {"b": [1, [], {}], "a": {"x": None}, "children": [leaf, dict(leaf), {
+        "children": [leaf], "z": 1.5}]}
+    assert to_canonical_json(nested) == _indented(nested)
+
+    # a payload that is not a certificate tree
+    payload = {"verb": "fmatrix", "matrix": fusion_matrix(2, 2, 2, 2, R5).to_json()}
+    assert to_canonical_json(payload) == _indented(payload)
+    for odd in ([leaf], {"children": "x"}, {"children": [1]}, {"children": [{"a": 1}]}):
+        assert to_canonical_json(odd) == _indented(odd)
+
+
+def test_canonical_json_placeholder_in_a_field(monkeypatch):
+    # a witness string equal to the placeholder must not be read as a child
+    import skeinrep.certificates as certificates
+
+    results = []
+    real = certificates._append_node
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(certificates, "_append_node", spy)
+    doc = certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()
+    doc["children"][3]["checks"][0]["witness"]["note"] = certificates._PLACEHOLDER
+    assert to_canonical_json(doc) == _indented(doc)
+    assert results[-1] is False
 
 
 def test_descent_terminates_everywhere():

@@ -2,7 +2,8 @@
 
 Each entry is the first 12 hex digits of the SHA-256 of the output's
 canonical JSON, recorded with the Fraction kernels that preceded the
-integer-scaled ones.  Any change to the scalar kernel, the recoupling symbols
+integer-scaled ones (the genus-3 certificate was recorded with the plain
+``json.dumps`` writer that preceded the piecewise one).  Any change to the scalar kernel, the recoupling symbols
 or the certificate layout that alters a single byte fails here.
 """
 
@@ -20,6 +21,8 @@ PINNED = [
     ("certify 7,0,5", lambda: certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)), "a7ac5396f040"),
     ("certify 5,1,2", lambda: certify_irreducible(5, 1, 2, (1, 1)), "43c07afeef50"),
     ("certify 7,2,1", lambda: certify_irreducible(7, 2, 1, (2,)), "200a5f70a9f1"),
+    # 1,313 emitted nodes for 119 distinct ones: pins the piecewise writer
+    ("certify 7,3,0", lambda: certify_irreducible(7, 3, 0, ()), "716540fbc0d0"),
     ("fusion 4444 p11", lambda: fusion_matrix(4, 4, 4, 4, root_of_unity(11)), "760c1a295485"),
     ("fusion 5656 p13", lambda: fusion_matrix(5, 6, 5, 6, root_of_unity(13)), "6a0d9702f3fc"),
     ("twist p7", lambda: pure_braid_twist(5, (2, 4), (1, 2, 2, 2, 3), root_of_unity(7)),
