@@ -263,61 +263,16 @@ def connectivity(graph: DecompositionGraph, mode: str) -> tuple:
         fwd[src].add(dst)
         rev[dst].add(src)
     if mode == "undirected":
-        undirected = {v: fwd[v] | rev[v] for v in nodes}
-        comps = _components(nodes, undirected)
+        comps = _components(nodes, {v: fwd[v] | rev[v] for v in nodes})
         return len(comps) == 1, comps
-    # strong: reachability from one root in both directions, then refine to
-    # actual SCCs only when that fails (the witness partition).
-    comps_fwd = _components(nodes[:1], fwd)
-    comps_rev = _components(nodes[:1], rev)
-    ok = len(comps_fwd[0]) == len(nodes) and len(comps_rev[0]) == len(nodes)
-    if ok:
-        return True, [sorted(nodes)]
-    return False, _strong_components(nodes, fwd)
-
-
-def _strong_components(nodes: Sequence[str], fwd: dict) -> list:
-    # Kosaraju: order by finish time on the forward graph, sweep the reverse.
-    rev: dict = {v: set() for v in nodes}
-    for v, ws in fwd.items():
-        for w in ws:
-            rev[w].add(v)
-    order = []
-    seen = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        stack = [(start, iter(sorted(fwd[start])))]
-        seen.add(start)
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, iter(sorted(fwd[w]))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(v)
-                stack.pop()
-    comps = []
-    seen = set()
-    for start in reversed(order):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in rev[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return sorted(comps)
+    # the strong component of v is what v reaches intersected with what reaches v
+    comps, seen = [], set()
+    for v in nodes:
+        if v not in seen:
+            comp = set(_components([v], fwd)[0]) & set(_components([v], rev)[0])
+            seen |= comp
+            comps.append(sorted(comp))
+    return len(comps) == 1, sorted(comps)
 
 
 def build_decomposition_graph(F: RingMatrix, Finv: RingMatrix) -> DecompositionGraph:
@@ -902,8 +857,14 @@ def _replay_check(check: dict, problems: list, path: str) -> str:
             if v.is_zero():
                 problems.append(f"{where}: stored value {k} is zero")
                 return CHECK_FAILED
-        if "channels" in wit and not _values_match_channels(wit["channels"], vals, where,
-                                                            problems):
+        if "channels" in wit and not _values_match(
+                "channel", wit["channels"], vals, where, problems,
+                lambda ring, k, c: twist_eigenvalue(ring, c), "the twist eigenvalue of"):
+            return CHECK_FAILED
+        if "exponents" in wit and not _values_match(
+                "exponent", wit["exponents"], vals, where, problems,
+                lambda ring, k, e: -a_power(ring, e) if k % 2 else a_power(ring, e),
+                "(-1)^k A^e for"):
             return CHECK_FAILED
         return PASSED if _first_duplicate(vals) is None else CHECK_FAILED
 
@@ -1006,20 +967,20 @@ def _replay_check(check: dict, problems: list, path: str) -> str:
     return CHECK_FAILED
 
 
-def _values_match_channels(channels: list, vals: list, where: str, problems: list) -> bool:
-    """Each stored value must be the twist eigenvalue of its stored channel."""
-    if len(channels) != len(vals):
-        problems.append(f"{where}: {len(channels)} channels for {len(vals)} values")
+def _values_match(label: str, keys: list, vals: list, where: str, problems: list,
+                  value_of, relation: str) -> bool:
+    """Each stored value k must be value_of(ring, k, key) for its stored key."""
+    if len(keys) != len(vals):
+        problems.append(f"{where}: {len(keys)} {label}s for {len(vals)} values")
         return False
-    for k, (c, v) in enumerate(zip(channels, vals)):
+    for k, (key, v) in enumerate(zip(keys, vals)):
         try:
-            ok = twist_eigenvalue(v.ring, c) == v
+            ok = value_of(v.ring, k, key) == v
         except ValueError as e:
-            problems.append(f"{where}: channel {k}: {e}")
+            problems.append(f"{where}: {label} {k}: {e}")
             return False
         if not ok:
-            problems.append(f"{where}: stored value {k} is not the twist eigenvalue "
-                            f"of channel {c}")
+            problems.append(f"{where}: stored value {k} is not {relation} {label} {key}")
             return False
     return True
 

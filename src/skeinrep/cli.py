@@ -538,7 +538,9 @@ def _emit(args, payload: dict, text: str, csv_rows) -> None:
         if base:
             path = os.path.join(base, path)
     with open(path, "w") as fh:
-        fh.write(body)
+        # 1 MiB slices, so the encoder never holds a bytes copy of the whole artifact
+        for start in range(0, len(body), 1 << 20):
+            fh.write(body[start:start + (1 << 20)])
     print(path)
 
 

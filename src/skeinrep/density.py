@@ -374,38 +374,28 @@ def certify_density(colors: Sequence[int], max_depth: int = DEFAULT_MAX_DEPTH) -
 
 def _certify_node(colors: tuple, memo: dict, depth: int, max_depth: int) -> Certificate:
     key = tuple(sorted(colors))
-    if key in memo:
-        return memo[key]
-    if depth > max_depth:
-        raise ValueError(f"induction depth exceeds max_depth={max_depth}")
+    if key not in memo:
+        if depth > max_depth:
+            raise ValueError(f"induction depth exceeds max_depth={max_depth}")
+        memo[key] = _certify_new_node(colors, memo, depth, max_depth)
+    return memo[key]
 
+
+def _certify_new_node(colors: tuple, memo: dict, depth: int, max_depth: int) -> Certificate:
     n = len(colors)
     inst = _instance(GENERIC, 0, n, colors)
-
     if n < 4:
-        cert = Certificate("zariski-dense", inst, NOT_APPLICABLE,
+        return Certificate("zariski-dense", inst, NOT_APPLICABLE,
                            detail="fewer than four punctures")
-        memo[key] = cert
-        return cert
-
     dim = dimension(0, n, colors, GENERIC)
     if dim == 0:
-        cert = Certificate("zariski-dense", inst, VACUOUS,
-                           detail="zero-dimensional space")
-        memo[key] = cert
-        return cert
+        return Certificate("zariski-dense", inst, VACUOUS, detail="zero-dimensional space")
     if dim == 1:
-        cert = Certificate("zariski-dense", inst, VACUOUS,
+        return Certificate("zariski-dense", inst, VACUOUS,
                            detail="dimension 1, projective action is trivial")
-        memo[key] = cert
-        return cert
-
     if n == 4:
-        cert = _certify_base(colors, inst, dim)
-    else:
-        cert = _certify_step(colors, inst, memo, depth, max_depth)
-    memo[key] = cert
-    return cert
+        return _certify_base(colors, inst, dim)
+    return _certify_step(colors, inst, memo, depth, max_depth)
 
 
 def _certify_base(colors: tuple, inst: dict, dim: int) -> Certificate:

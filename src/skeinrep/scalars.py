@@ -88,18 +88,12 @@ def root_of_unity(p: int) -> RingSpec:
 # basis 1, x, ..., x^(2p-3).
 
 @functools.lru_cache(maxsize=None)
-def _cyclotomic_4p(p: int) -> tuple[Fraction, ...]:
-    coeffs = [Fraction(0)] * (2 * p - 1)
-    for k in range(p):
-        coeffs[2 * k] = Fraction(1 if k % 2 == 0 else -1)
-    return tuple(coeffs)
-
-
-@functools.lru_cache(maxsize=None)
 def _power_reps(p: int) -> tuple[tuple[int, ...], ...]:
     """Reduced integer representatives of x^k mod Phi_4p for k = 0 .. 4p-1."""
     deg = 2 * (p - 1)
-    head = [-int(c) for c in _cyclotomic_4p(p)[:deg]]  # x^deg = head(x), Phi_4p is monic
+    head = [0] * deg  # x^deg = head(x) = -sum_{k < p-1} (-1)^k x^(2k), Phi_4p is monic
+    for k in range(p - 1):
+        head[2 * k] = 1 if k % 2 else -1
     reps = []
     cur = [0] * deg
     cur[0] = 1
@@ -158,68 +152,6 @@ def _rational_parts(text) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over Q, used for root-of-unity inversion.
-# Polynomials are lists of Fractions, index = exponent, no trailing zeros.
-
-def _poly_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        shift = len(a) - len(b)
-        c = a[-1] * inv_lead
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] -= c * bi
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        u0 = [c / lead for c in u0]
-        v0 = [c / lead for c in v0]
-    return r0, u0, v0
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
-
-
-# ---------------------------------------------------------------------------
 # Integer polynomial helpers for the generic ring.  Polynomials are lists or
 # tuples of ints, index = exponent, no trailing zeros.
 #
@@ -231,6 +163,12 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 _SIGNED_ARRAY = ({array(code).itemsize: code for code in "hilq"}
                  if sys.byteorder == "little" else {})
+
+
+def _poly_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _digit_bytes(bits: int) -> int:
@@ -574,17 +512,24 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
         if self._vec is not None:
-            # (vec / d)^-1 = d * vec^-1, with vec^-1 from Euclid over Q
-            p = self.ring.p
-            poly = _poly_trim([Fraction(c) for c in self._vec])
-            g, u, _ = _poly_xgcd(poly, list(_cyclotomic_4p(p)))
-            if len(g) != 1:
-                raise ZeroDivisionError("element is a zero divisor")  # cannot happen in a field
-            inv = [c * self._d / g[0] for c in u]
-            _, rem = _poly_divmod(inv, list(_cyclotomic_4p(p)))
-            rem += [Fraction(0)] * (self.ring.degree - len(rem))
-            d = math.lcm(*(c.denominator for c in rem))
-            return Scalar._cyclotomic(self.ring, [c.numerator * (d // c.denominator) for c in rem], d)
+            # Norm identity: x^-1 = prod_{k != 1} sigma_k(x) / N(x), where sigma_k
+            # maps zeta to zeta^k for each unit k mod 4p.  N(x), the product of
+            # all conjugates, is fixed by every sigma_k and so lies in Q.  No
+            # embedding of Q(zeta_4p) is real, so the conjugates pair off with
+            # their complex conjugates and N(x) = prod |sigma(x)|^2 > 0 for x != 0.
+            # With x = vec / d and y = prod_{k != 1} sigma_k(vec), x^-1 = d*y / N(vec).
+            p, vec = self.ring.p, self._vec
+            reps = _power_reps(p)
+            y = None
+            for k in range(3, 4 * p, 2):
+                if k % p:
+                    conj = [0] * len(vec)  # sigma_k(vec), re-indexed from the powers of x
+                    for i, c in enumerate(vec):
+                        if c:
+                            conj = [a + c * r for a, r in zip(conj, reps[i * k % (4 * p)])]
+                    y = conj if y is None else _vec_mul(p, y, conj)
+            norm = _vec_mul(p, vec, y)[0]
+            return Scalar._cyclotomic(self.ring, [self._d * c for c in y], norm)
         num, den = self._den, self._num
         if den[-1] < 0:
             num, den = tuple(-c for c in num), tuple(-c for c in den)

@@ -67,6 +67,26 @@ def test_decomposition_graph_connectivity():
     ok, comps = connectivity(graph, "strong")
     assert ok
 
+    # graphs that are not strongly connected, with the partitions a Kosaraju
+    # sweep gave for them
+    from skeinrep.certificates import DecompositionGraph
+
+    cases = (
+        (3, 2, "L0R0 L0R1 L1R1 R0L0 R1L0 R0L1 R1L1 R1L2",
+         [["L:0", "L:1", "R:0", "R:1"], ["L:2"]]),
+        (2, 3, "L1R1 L1R2 R0L0 R2L0 R0L1 R1L1 R2L1",
+         [["L:0"], ["L:1", "R:1", "R:2"], ["R:0"]]),
+        (3, 2, "L0R0 L2R1 R0L0 R1L0 R1L2",
+         [["L:0", "R:0"], ["L:1"], ["L:2", "R:1"]]),
+        (2, 3, "L0R1 L0R2 L1R0 L1R1 L1R2 R0L0 R2L0 R0L1",
+         [["L:0", "R:2"], ["L:1", "R:0"], ["R:1"]]),
+    )
+    for n_left, n_right, spec, partition in cases:
+        edges = tuple((f"{e[0]}:{e[1]}", f"{e[2]}:{e[3]}", {}) for e in spec.split())
+        graph = DecompositionGraph(tuple(f"L:{i}" for i in range(n_left)),
+                                   tuple(f"R:{i}" for i in range(n_right)), edges)
+        assert connectivity(graph, "strong") == (False, partition)
+
 
 def test_decomposition_graph_rejects_bad_shapes():
     F = fusion_matrix(2, 1, 1, 2, GENERIC)
@@ -309,10 +329,38 @@ def test_replay_binds_values_to_channels():
     assert status == FAILED
     assert any("channel 0: color 9 out of range" in m for m in problems), problems
 
-    # the one-holed torus stores exponents, not channels: the old check holds
+    # the one-holed torus stores exponents, not channels
     torus = certify_one_holed_torus(7, 1).to_json()
     assert "channels" not in _first_witness(torus, "distinct_values")
     assert replay_certificate(torus) == (torus["status"], [])
+
+    # value k must be (-1)^k A^e for its exponent e: move the last value to
+    # another unit that keeps the list distinct
+    bad = copy.deepcopy(torus)
+    values = _first_witness(bad, "distinct_values")["values"]
+    shifted = scalar_from_json(values[-1]) * a_power(R7, 2)
+    assert shifted not in [scalar_from_json(v) for v in values]
+    values[-1] = shifted.to_json()
+    status, problems = replay_certificate(bad)
+    assert status == FAILED
+    assert any(f"stored value {len(values) - 1} is not (-1)^k A^e for exponent" in m
+               for m in problems), problems
+
+    # an exponent that no longer gives its stored value
+    bad = copy.deepcopy(torus)
+    _first_witness(bad, "distinct_values")["exponents"][0] = 999
+    status, problems = replay_certificate(bad)
+    assert status == FAILED
+    assert any("stored value 0 is not (-1)^k A^e for exponent 999" in m
+               for m in problems), problems
+
+    # one exponent dropped
+    bad = copy.deepcopy(torus)
+    _first_witness(bad, "distinct_values")["exponents"].pop()
+    status, problems = replay_certificate(bad)
+    assert status == FAILED
+    assert any(f"{len(values) - 1} exponents for {len(values)} values" in m
+               for m in problems), problems
 
 
 def test_replay_rederives_trivial_statuses():

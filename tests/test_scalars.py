@@ -1,6 +1,7 @@
 """Exact arithmetic in the generic ring Q(A) and the cyclotomic rings Q(zeta_4p)."""
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -10,16 +11,14 @@ import pytest
 
 import skeinrep.scalars as scalars_module
 from skeinrep.certificates import to_canonical_json
+from skeinrep.recoupling import theta
 from skeinrep.scalars import (
     GENERIC,
     RingSpec,
     Scalar,
-    _cyclotomic_4p,
     _ipoly_gcd,
     _ipoly_mul,
-    _poly_divmod,
     _poly_trim,
-    _poly_xgcd,
     _prs_gcd,
     a_power,
     embed_generic,
@@ -29,6 +28,7 @@ from skeinrep.scalars import (
     root_of_unity,
     scalar_from_json,
 )
+from skeinrep.spaces import is_admissible_triple
 from skeinrep.twists import pure_braid_twist
 
 R5 = root_of_unity(5)
@@ -182,8 +182,74 @@ def test_equal_scalars_hash_equal():
 
 
 # ---------------------------------------------------------------------------
+# Dense polynomial arithmetic over Q for the oracles below.  Polynomials are
+# lists of Fractions, index = exponent, no trailing zeros.
+
+def _poly_divmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 / b[-1]
+    while len(a) >= len(b) and _poly_trim(a):
+        shift = len(a) - len(b)
+        c = a[-1] * inv_lead
+        q[shift] = c
+        for i, bi in enumerate(b):
+            a[shift + i] -= c * bi
+        _poly_trim(a)
+    return _poly_trim(q), a
+
+
+def _poly_xgcd(a, b):
+    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
+    r0, r1 = list(a), list(b)
+    u0, u1 = [Fraction(1)], []
+    v0, v1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
+        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
+    if r0:
+        lead = r0[-1]
+        r0 = [c / lead for c in r0]
+        u0 = [c / lead for c in u0]
+        v0 = [c / lead for c in v0]
+    return r0, u0, v0
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _poly_trim(out)
+
+
+def _poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, ai in enumerate(a):
+        out[i] += ai
+    for i, bi in enumerate(b):
+        out[i] -= bi
+    return _poly_trim(out)
+
+
+def _cyclotomic_4p(p):
+    """Phi_4p(x) = sum_{k=0}^{p-1} (-1)^k x^(2k), as Fractions."""
+    coeffs = [Fraction(0)] * (2 * p - 1)
+    for k in range(p):
+        coeffs[2 * k] = Fraction(1 if k % 2 == 0 else -1)
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
 # Oracle for the integer-scaled root-of-unity kernel: the Fraction-vector
-# product and the Fraction xgcd inverse it replaced, kept here as reference.
+# product and the Fraction xgcd inverse that the integer product and the
+# norm inverse replaced, kept here as reference.
 
 @functools.lru_cache(maxsize=None)
 def _ref_power_reps(p):
@@ -213,7 +279,7 @@ def _ref_mul(p, a, b):
 
 
 def _ref_invert(p, a):
-    phi = list(_cyclotomic_4p(p))
+    phi = _cyclotomic_4p(p)
     g, u, _ = _poly_xgcd(_poly_trim(list(a)), phi)
     assert len(g) == 1
     _, rem = _poly_divmod([c / g[0] for c in u], phi)
@@ -242,6 +308,11 @@ def test_integer_kernel_matches_fraction_reference(p):
     zero = (Fraction(0),) * ring.degree
     vectors = [_ref_vector(p, rng) for _ in range(10)]
     vectors += [zero, (Fraction(-7, 3),) + zero[1:], (Fraction(5),) + zero[1:]]
+    # the values the 6j path inverts: every [r] and every admissible theta
+    vectors += [_as_ref(quantum_integer(ring, r)) for r in range(1, p)]
+    vectors += [_as_ref(theta(*t, ring))
+                for t in itertools.combinations_with_replacement(range(p - 1), 3)
+                if is_admissible_triple(*t, ring)]
     scalars = [scalar_from_json(_ref_json(p, v)) for v in vectors]
     inverses = {}
     for k, (v, x) in enumerate(zip(vectors, scalars)):
