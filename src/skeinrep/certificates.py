@@ -25,6 +25,7 @@ the tree and downgrade CERTIFIED to CERTIFIED_MODULO_ASSUMPTION.
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,6 +103,22 @@ _PLACEHOLDER = "\0child"
 _PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
 
 
+def _node_key(shell: dict) -> bytes | None:
+    """Exact content key of a node's shell (the node with its ``children``
+    replaced), or None when the shell holds a type marshal cannot write.
+
+    ``marshal`` is C code and tags every value with its exact type, so equal
+    keys mean equal values of equal types: ``1``, ``1.0``, ``true`` and
+    ``"1"`` never share a key.  Equal values written differently (another
+    key order, other object sharing) only get different keys.  The bytes
+    are used in-process only and never written.
+    """
+    try:
+        return marshal.dumps(shell)
+    except ValueError:
+        return None
+
+
 def to_canonical_json(doc: dict) -> str:
     """Deterministic serialization: fixed key order, fixed layout, no clocks.
 
@@ -109,13 +126,17 @@ def to_canonical_json(doc: dict) -> str:
     A certificate tree repeats the subtrees of shared sub-instances, and the
     indenting encoder is pure Python, so each distinct node is rendered once:
     its fields other than ``children`` are dumped with a placeholder string
-    per child, split on the placeholder, re-indented for the node's depth and
-    cached under the node's compact dump (which the C encoder writes) and that
-    depth.  Every occurrence then splices cached pieces around its children.
-    The key is the node's content, never its ``id``, so the text depends only
-    on the document's value.  Any document that is not a tree of dicts each
-    with a ``children`` list of dicts, or whose fields contain the placeholder
-    itself, takes the plain ``json.dumps`` line.
+    per child and split on the placeholder.  The pieces are cached under the
+    shell's exact content key (`_node_key`) and the node's depth.  A node met
+    again at another depth is re-indented from its first rendering by
+    swapping the indent after each newline; every newline in that text is
+    structural, because JSON escapes newlines inside strings.  Every
+    occurrence then splices cached pieces around its children.  The key is
+    the node's content, never its ``id``, so the text depends only on the
+    document's value.  Any document that is not a tree of dicts each with a
+    ``children`` list of dicts, or whose fields contain the placeholder
+    itself or a type the key cannot write, takes the plain ``json.dumps``
+    line.
     """
     out: list = []
     if isinstance(doc, dict) and _append_node(doc, 0, {}, out):
@@ -126,22 +147,31 @@ def to_canonical_json(doc: dict) -> str:
 
 def _append_node(node: dict, level: int, cache: dict, out: list) -> bool:
     """Append the indented text of `node` at indent `level` to `out`; False
-    when some node cannot be rendered piecewise."""
+    when some node cannot be rendered piecewise.  `cache` maps a shell key
+    to {level: pieces}; its first entry is the one the encoder rendered."""
     children = node.get("children")
     if type(children) is not list or not all(isinstance(c, dict) for c in children):
         return False
     shell = dict(node)
     shell["children"] = [_PLACEHOLDER] * len(children)
-    key = (json.dumps(shell, sort_keys=True, separators=(",", ":")), level)
-    pieces = cache.get(key)
-    if pieces is None:
+    key = _node_key(shell)
+    if key is None:
+        return False
+    by_level = cache.get(key)
+    if by_level is None:
         pieces = json.dumps(shell, sort_keys=True, indent=2).split(_PLACEHOLDER_JSON)
         if len(pieces) != len(children) + 1:
             return False
         if level:
             pad = "\n" + "  " * level
             pieces = [piece.replace("\n", pad) for piece in pieces]
-        cache[key] = pieces
+        cache[key] = {level: pieces}
+    else:
+        pieces = by_level.get(level)
+        if pieces is None:
+            first_level, first = next(iter(by_level.items()))
+            old, new = "\n" + "  " * first_level, "\n" + "  " * level
+            pieces = by_level[level] = [piece.replace(old, new) for piece in first]
     out.append(pieces[0])
     for child, piece in zip(children, pieces[1:]):
         if not _append_node(child, level + 2, cache, out):
@@ -417,14 +447,10 @@ def certify_one_holed_torus(p: int, a: int) -> Certificate:
          "ring": _ring_json(ring), "value": dim, "expected": expected_dim},
     ))
 
-    values = []
-    for j in range(p - a - 1):
-        v = a_power(ring, (j + a) * (j + a + 2))
-        if j % 2:
-            v = -v
-        values.append(v)
-    ok, wit = multiplicity_free_check(values)
-    wit["exponents"] = [(j + a) * (j + a + 2) for j in range(p - a - 1)]
+    exponents = _torus_exponents(p, a)
+    ok, wit = multiplicity_free_check(
+        [_torus_value(ring, j, e) for j, e in enumerate(exponents)])
+    wit["exponents"] = exponents
     checks.append(CheckRecord("twist-eigenvalues-distinct",
                               PASSED if ok else CHECK_FAILED, wit))
 
@@ -436,6 +462,17 @@ def certify_one_holed_torus(p: int, a: int) -> Certificate:
     return Certificate("irreducible", inst, status,
                        detail="one-holed-torus base case",
                        checks=tuple(checks), assumptions=(assumption,))
+
+
+def _torus_exponents(p: int, a: int) -> list:
+    """Twist exponents (j+a)(j+a+2), j < p-a-1, of the one-holed torus with
+    boundary colour 2a."""
+    return [(j + a) * (j + a + 2) for j in range(p - a - 1)]
+
+
+def _torus_value(ring: RingSpec, j: int, e: int) -> Scalar:
+    """The twist eigenvalue (-1)^j A^e of summand j of the one-holed torus."""
+    return -a_power(ring, e) if j % 2 else a_power(ring, e)
 
 
 def _certify_cited_torus(ring: RingSpec, g: int, b: int, colors: Sequence[int]) -> Certificate:
@@ -841,8 +878,9 @@ def register_replay_kind(kind: str, handler) -> None:
     REPLAY_HANDLERS[kind] = handler
 
 
-def _replay_check(check: dict, problems: list, path: str) -> str:
-    """Re-verify one check record from its witness; returns the replayed status."""
+def _replay_check(check: dict, inst: dict, problems: list, path: str) -> str:
+    """Re-verify one check record of the node with instance `inst` from its
+    witness; returns the replayed status."""
     wit = check.get("witness", {})
     kind = wit.get("kind")
     name = check.get("name", "?")
@@ -861,11 +899,16 @@ def _replay_check(check: dict, problems: list, path: str) -> str:
                 "channel", wit["channels"], vals, where, problems,
                 lambda ring, k, c: twist_eigenvalue(ring, c), "the twist eigenvalue of"):
             return CHECK_FAILED
-        if "exponents" in wit and not _values_match(
-                "exponent", wit["exponents"], vals, where, problems,
-                lambda ring, k, e: -a_power(ring, e) if k % 2 else a_power(ring, e),
-                "(-1)^k A^e for"):
-            return CHECK_FAILED
+        if "exponents" in wit:
+            if not _values_match("exponent", wit["exponents"], vals, where, problems,
+                                 _torus_value, "(-1)^k A^e for"):
+                return CHECK_FAILED
+            # one list for an instance (g, b) = (1, 1) with one even colour
+            expected = [_torus_exponents(inst["p"], c // 2) for c in inst["colors"] if c % 2 == 0]
+            if (inst["g"], inst["b"]) != (1, 1) or [wit["exponents"]] != expected:
+                problems.append(f"{where}: stored exponents are not (j+a)(j+a+2), j < p-a-1, "
+                                f"of the instance with colors {inst['colors']} at p = {inst['p']}")
+                return CHECK_FAILED
         return PASSED if _first_duplicate(vals) is None else CHECK_FAILED
 
     if kind == "nonzero_scalars":
@@ -991,13 +1034,44 @@ def replay_certificate(doc: dict) -> tuple:
     Returns (status, problems).  The status is recomputed bottom-up from the
     replayed checks; problems lists every disagreement with the stored
     document, so an empty list means the artifact replays exactly.
+
+    A tree repeats the subtrees of shared sub-instances, so each distinct
+    subtree is replayed once.  One bottom-up pass gives every node an
+    interned id: the exact content key (`_node_key`) of the node with its
+    ``children`` replaced by their ids.  Equal ids therefore mean equal
+    subtrees, value for value and type for type.  The replay walk then
+    keeps each id's status and its problems relative to the node's path,
+    and at a repeat re-prefixes them with the current path.  That is sound
+    because a node's replayed status and problems depend only on its own
+    content; its path appears only as the prefix of its messages.  So the
+    status, the problems and their order are those of replaying every
+    occurrence.  Nodes the pass cannot key (malformed ``children``) are
+    replayed unmemoized, and so are their ancestors.
     """
     problems: list = []
     if doc.get("schema") != SCHEMA:
         problems.append(f"cert: unknown schema {doc.get('schema')!r}, want {SCHEMA!r}")
         return FAILED, problems
-    status = _replay_node(doc, problems, "cert")
+    ids: dict = {}
+    _intern_node(doc, {}, ids)
+    status = _replay_node(doc, problems, "cert", ids, {})
     return status, problems
+
+
+def _intern_node(node, table: dict, ids: dict) -> int | None:
+    """Interned id of `node`'s subtree, recorded in `ids` under id(node);
+    None, with no record, when the node or a descendant is not a dict with
+    a list of children, or holds a type the key cannot write.  A missing
+    ``children`` reads as an empty list, as it does in replay."""
+    children = node.get("children", []) if isinstance(node, dict) else None
+    if not isinstance(children, list):
+        return None
+    kids = [_intern_node(child, table, ids) for child in children]
+    key = None if None in kids else _node_key(dict(node, children=kids))
+    if key is None:
+        return None
+    nid = ids[id(node)] = table.setdefault(key, len(table))
+    return nid
 
 
 def _trivial_status(claim: str, inst: dict) -> str | None:
@@ -1011,7 +1085,22 @@ def _trivial_status(claim: str, inst: dict) -> str | None:
     return VACUOUS if dim <= 1 else None
 
 
-def _replay_node(doc: dict, problems: list, path: str) -> str:
+def _replay_node(doc: dict, problems: list, path: str, ids: dict, memo: dict) -> str:
+    """Replay one node; `memo` maps an interned id (from `ids`) to the status
+    and the path-relative problems of its first replay."""
+    nid = ids.get(id(doc))
+    if nid in memo:
+        status, relative = memo[nid]
+        problems.extend(path + message for message in relative)
+        return status
+    start = len(problems)
+    status = _replay_new_node(doc, problems, path, ids, memo)
+    if nid is not None:
+        memo[nid] = (status, [message[len(path):] for message in problems[start:]])
+    return status
+
+
+def _replay_new_node(doc: dict, problems: list, path: str, ids: dict, memo: dict) -> str:
     stored = doc.get("status")
     if stored in (VACUOUS, NOT_APPLICABLE):
         claim = doc.get("claim")
@@ -1025,7 +1114,7 @@ def _replay_node(doc: dict, problems: list, path: str) -> str:
         return FAILED
     replayed_checks = []
     for check in doc.get("checks", ()):
-        got = _replay_check(check, problems, path)
+        got = _replay_check(check, doc.get("instance"), problems, path)
         want = check.get("status")
         if got != want:
             problems.append(
@@ -1033,7 +1122,7 @@ def _replay_node(doc: dict, problems: list, path: str) -> str:
         replayed_checks.append(got)
     child_statuses = []
     for idx, child in enumerate(doc.get("children", ())):
-        child_statuses.append(_replay_node(child, problems, f"{path}/{idx}"))
+        child_statuses.append(_replay_node(child, problems, f"{path}/{idx}", ids, memo))
     if any(s == CHECK_FAILED for s in replayed_checks) \
             or any(s == FAILED for s in child_statuses):
         status = FAILED

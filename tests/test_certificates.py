@@ -452,7 +452,11 @@ def test_canonical_json_is_indented_dumps():
     # a payload that is not a certificate tree
     payload = {"verb": "fmatrix", "matrix": fusion_matrix(2, 2, 2, 2, R5).to_json()}
     assert to_canonical_json(payload) == _indented(payload)
-    for odd in ([leaf], {"children": "x"}, {"children": [1]}, {"children": [{"a": 1}]}):
+    # an OrderedDict field has no marshal key
+    from collections import OrderedDict
+
+    for odd in ([leaf], {"children": "x"}, {"children": [1]}, {"children": [{"a": 1}]},
+                {"children": [leaf], "o": OrderedDict(b=1, a=[2])}):
         assert to_canonical_json(odd) == _indented(odd)
 
 
@@ -486,3 +490,189 @@ def test_descent_terminates_everywhere():
                 NOT_APPLICABLE,
             ), (p, g, b, colors, cert.status)
             assert not replay_certificate(cert.to_json())[1]
+
+
+def test_replay_binds_torus_exponents_to_instance():
+    # the exponents must be (j+a)(j+a+2), j < p-a-1, for the instance colour 2a
+    torus = certify_one_holed_torus(7, 1).to_json()
+    assert replay_certificate(torus) == (CERTIFIED_MODULO_ASSUMPTION, [])
+
+    def retarget(doc, exponents):
+        wit = _first_witness(doc, "distinct_values")
+        wit["exponents"] = exponents
+        wit["values"] = [(-a_power(R7, e) if k % 2 else a_power(R7, e)).to_json()
+                         for k, e in enumerate(exponents)]
+        assert wit["duplicate"] is None
+        assert len({json.dumps(v, sort_keys=True) for v in wit["values"]}) == len(exponents)
+
+    exponents = _first_witness(torus, "distinct_values")["exponents"]
+    assert exponents == [3, 8, 15, 24, 35]
+    shifted = copy.deepcopy(torus)
+    retarget(shifted, [e + 2 for e in exponents])
+    truncated = copy.deepcopy(torus)
+    retarget(truncated, exponents[:2])
+    recoloured = copy.deepcopy(torus)
+    recoloured["instance"] = dict(torus["instance"], colors=[4])
+    for bad in (shifted, truncated, recoloured):
+        status, problems = replay_certificate(bad)
+        assert status == FAILED
+        assert any(m.startswith("cert/twist-eigenvalues-distinct: stored exponents are not "
+                                "(j+a)(j+a+2)") for m in problems), problems
+
+
+def _loaded(cert) -> dict:
+    """The certificate as replay reads it from an artifact: no shared objects."""
+    return json.loads(to_canonical_json(cert.to_json()))
+
+
+def _unshared(doc, copy_first=True) -> dict:
+    """`doc` with a distinct nonce on every node, so no two subtrees are
+    equal and the replay memo is never hit: the oracle for the memo."""
+    if copy_first:
+        doc = json.loads(json.dumps(doc))
+    stack, count = [doc], 0
+    while stack:
+        node = stack.pop()
+        node["nonce"] = count
+        count += 1
+        children = node.get("children", ())
+        if isinstance(children, list):
+            stack.extend(c for c in children if isinstance(c, dict))
+    return doc
+
+
+def _replay_outcome(doc):
+    try:
+        return replay_certificate(doc)
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        return type(e).__name__
+
+
+def _distinct_subtrees(doc) -> int:
+    import skeinrep.certificates as certificates
+
+    table: dict = {}
+    certificates._intern_node(doc, table, {})
+    return len(table)
+
+
+def _mutate(doc, rng) -> None:
+    """Change one field of one node of `doc`: a number, string, flag or null
+    replaced, a key deleted or a list entry (a child, say) dropped."""
+    nodes, stack = [], [doc]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1]["children"])
+    node = rng.choice(nodes)
+    places = []
+
+    def collect(value):
+        for k, v in (value.items() if isinstance(value, dict) else enumerate(value)):
+            places.append((value, k))
+            if isinstance(v, (dict, list)) and v is not node["children"]:
+                collect(v)
+
+    collect(node)
+    parent, key = rng.choice(places)
+    v = parent[key]
+    if isinstance(v, bool):
+        parent[key] = not v
+    elif isinstance(v, int):
+        parent[key] = rng.choice([v + 1, v - 1, float(v), str(v)])
+    elif isinstance(v, str):
+        parent[key] = rng.choice([v + "x", FAILED, CERTIFIED, ""])
+    elif v is None:
+        parent[key] = 0
+    elif isinstance(v, dict) and v:
+        del v[rng.choice(sorted(v))]
+    elif isinstance(v, list) and v:
+        v.pop(rng.randrange(len(v)))
+    else:
+        parent[key] = None
+
+
+def test_replay_memo_matches_unshared_oracle():
+    doc = _loaded(certify_irreducible(5, 3, 0, ()))
+    oracle = _unshared(doc)
+    assert _distinct_subtrees(doc) < _distinct_subtrees(oracle)
+    assert replay_certificate(doc) == replay_certificate(oracle) \
+        == (CERTIFIED_MODULO_ASSUMPTION, [])
+    text = json.dumps(doc)
+    outcomes = set()
+    for seed in range(80):
+        bad = json.loads(text)
+        _mutate(bad, random.Random(seed))
+        got = _replay_outcome(bad)
+        assert got == _replay_outcome(_unshared(bad, copy_first=False)), seed
+        outcomes.add(got if isinstance(got, str) else got[0])
+    # the mutations reach clean replays, FAILED verdicts and malformed input
+    assert {CERTIFIED_MODULO_ASSUMPTION, FAILED, "KeyError"} <= outcomes, outcomes
+
+
+def _occurrences(doc, instance) -> list:
+    """(path, node) of every node with `instance`, in document order."""
+    found = []
+
+    def walk(node, path):
+        if node["instance"] == instance:
+            found.append((path, node))
+        for idx, child in enumerate(node["children"]):
+            walk(child, f"{path}/{idx}")
+
+    walk(doc, "cert")
+    return found
+
+
+# the one-holed torus with an untwisted boundary: its subtree (a reduction
+# and the cited closed torus below it) repeats 72 times in (7, 3, 0)
+_CAPPED_TORUS = {"mode": "root_of_unity", "p": 7, "g": 1, "b": 1, "colors": [0]}
+
+
+def test_replay_memo_reports_the_tampered_occurrence():
+    doc = _loaded(certify_irreducible(7, 3, 0, ()))
+    found = _occurrences(doc, _CAPPED_TORUS)
+    assert len(found) == 72 and found[0][1]["children"]
+    name = found[0][1]["children"][0]["checks"][0]["name"]
+
+    def tamper(node):
+        node["children"][0]["checks"][0]["status"] = FAILED
+
+    # one occurrence in the middle: exactly its path is reported
+    path, node = found[40]
+    tamper(node)
+    status, problems = replay_certificate(doc)
+    assert problems == [f"{path}/0/{name}: replayed PASSED, stored FAILED"]
+    assert status == CERTIFIED_MODULO_ASSUMPTION
+    assert (status, problems) == replay_certificate(_unshared(doc))
+
+    # every occurrence: one problem per path, in document order
+    for _, node in found:
+        tamper(node)
+    status, problems = replay_certificate(doc)
+    assert problems == [f"{path}/0/{name}: replayed PASSED, stored FAILED"
+                        for path, _ in found]
+    assert (status, problems) == replay_certificate(_unshared(doc))
+
+
+def test_replay_and_writer_keep_equal_numbers_of_other_types_apart():
+    # 1, 1.0 and true are equal under ==, but replay messages and the JSON
+    # text spell them differently, so their subtrees must not share a key
+    doc = _loaded(certify_irreducible(7, 3, 0, ()))
+    torus = {"mode": "root_of_unity", "p": 7, "g": 1, "b": 1, "colors": [2]}
+    found = _occurrences(doc, torus)
+    assert len(found) == 104
+    stored = (1, 1.0, True)
+    for (_, node), value in zip(found, stored):
+        node["checks"][0]["witness"].update(value=value, expected=value)
+    assert found[0][1] == found[1][1] == found[2][1]
+    status, problems = replay_certificate(doc)
+    assert status == FAILED
+    for (path, _), value in zip(found, stored):
+        assert f"{path}/dimension-count: dimension of [2] is 5, stored value {value}, " \
+            f"expected {value}" in problems
+    assert (status, problems) == replay_certificate(_unshared(doc))
+
+    text = to_canonical_json(doc)
+    assert text == _indented(doc)
+    for spelled in ('"value": 1.0\n', '"value": true\n'):
+        assert text.count(spelled) == 1, spelled

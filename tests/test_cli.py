@@ -135,6 +135,7 @@ def test_mode_defaults_to_generic(capsys):
 def test_replay_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "certify", "irr", "--p", "5", "--g", "0", "--b", "5",
                        "--colors", "1,1,1,1,2", "--json")
+    clean = out
     doc = json.loads(out)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
@@ -173,6 +174,41 @@ def test_replay_round_trip(capsys, tmp_path):
         code, out, err = run(capsys, "replay", "--file", str(path))
         assert code == 2
         assert message in err
+
+    # shapes that replay's subtree keys cannot take or must keep apart: each
+    # keeps the exit code of replaying every node, and none is a traceback
+    def edited(edit):
+        doc = json.loads(clean)
+        assert doc["children"][0]["status"] == "VACUOUS"
+        assert doc["checks"][1]["witness"]["kind"] == "chain"
+        edit(doc)
+        return json.dumps(doc)
+
+    def nested_list(doc):
+        doc["children"][3]["children"] = [[]]
+
+    def float_channel(doc):
+        channels = doc["children"][3]["checks"][0]["witness"]["channels"]
+        channels[0] = float(channels[0])
+
+    def float_via(doc):
+        pair = doc["checks"][1]["witness"]["pairs"][0]
+        pair["via"] = float(pair["via"])
+
+    cases = (
+        (lambda doc: doc.update(children="x"), 2, "malformed certificate: AttributeError"),
+        (lambda doc: doc.update(children=[1]), 2, "malformed certificate: AttributeError"),
+        (nested_list, 2, "malformed certificate: AttributeError"),
+        (float_channel, 2, "malformed certificate: TypeError"),
+        # a VACUOUS node's children are never read, and 1.0 == 1 where it is
+        (lambda doc: doc["children"][0].update(children="x"), 0, ""),
+        (float_via, 0, ""),
+    )
+    for edit, want, message in cases:
+        path.write_text(edited(edit))
+        code, out, err = run(capsys, "replay", "--file", str(path))
+        assert (code, message in err) == (want, True), err
+        assert "Traceback" not in err
 
 
 def _first_witness_scalar(doc, mode):

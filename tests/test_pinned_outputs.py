@@ -3,14 +3,19 @@
 Each entry is the first 12 hex digits of the SHA-256 of the output's
 canonical JSON, recorded with the Fraction kernels that preceded the
 integer-scaled ones (the genus-3 certificate was recorded with the plain
-``json.dumps`` writer that preceded the piecewise one).  Any change to the scalar kernel, the recoupling symbols
-or the certificate layout that alters a single byte fails here.
-"""
+``json.dumps`` writer that preceded the piecewise one).  The (5,4,0),
+(11,2,0) and (13,1,2) certificates and the CLI replay output were recorded
+with the writer keyed by compact dumps and the replay that walked every
+occurrence, before either was keyed by `_node_key`.  Any change to the
+scalar kernel, the recoupling symbols, the certificate layout or the replay
+messages that alters a single byte fails here."""
 
 import hashlib
+import json
 
 import pytest
 
+from skeinrep.cli import main
 from skeinrep.certificates import certify_irreducible, to_canonical_json
 from skeinrep.density import certify_density
 from skeinrep.recoupling import fusion_matrix, tet
@@ -23,6 +28,10 @@ PINNED = [
     ("certify 7,2,1", lambda: certify_irreducible(7, 2, 1, (2,)), "200a5f70a9f1"),
     # 1,313 emitted nodes for 119 distinct ones: pins the piecewise writer
     ("certify 7,3,0", lambda: certify_irreducible(7, 3, 0, ()), "716540fbc0d0"),
+    # 2,161 emitted nodes for 50 distinct ones
+    ("certify 5,4,0", lambda: certify_irreducible(5, 4, 0, ()), "4030ad11f5f3"),
+    ("certify 11,2,0", lambda: certify_irreducible(11, 2, 0, ()), "da307e6e9285"),
+    ("certify 13,1,2", lambda: certify_irreducible(13, 1, 2, (2, 2)), "cc6aefec913c"),
     ("fusion 4444 p11", lambda: fusion_matrix(4, 4, 4, 4, root_of_unity(11)), "760c1a295485"),
     ("fusion 5656 p13", lambda: fusion_matrix(5, 6, 5, 6, root_of_unity(13)), "6a0d9702f3fc"),
     ("twist p7", lambda: pure_braid_twist(5, (2, 4), (1, 2, 2, 2, 3), root_of_unity(7)),
@@ -52,3 +61,25 @@ def test_generic_output_bytes(build, prefix):
 def _digest(value) -> str:
     blob = to_canonical_json(value.to_json()).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def test_cli_replay_output_bytes(tmp_path, capsys):
+    # every dimension witness of (7, 3, 0) overstated by one: 246 leaves in
+    # repeated subtrees, each reported at its own path, in document order
+    cert, replay = tmp_path / "cert.json", tmp_path / "replay.json"
+    argv = ["certify", "irr", "--p", "7", "--g", "3", "--b", "0", "--json", "--out"]
+    assert main(argv + [str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    stack, bumped = [doc], 0
+    while stack:
+        node = stack.pop()
+        for check in node["checks"]:
+            if check["witness"]["kind"] == "dimension":
+                check["witness"]["value"] += 1
+                bumped += 1
+        stack.extend(node["children"])
+    assert bumped == 246
+    cert.write_text(json.dumps(doc))
+    assert main(["replay", "--file", str(cert), "--json", "--out", str(replay)]) == 1
+    capsys.readouterr()
+    assert hashlib.sha256(replay.read_bytes()).hexdigest()[:12] == "bdd2fbe44373"
