@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import marshal
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .matrices import RingMatrix
@@ -180,15 +181,43 @@ def _append_node(node: dict, level: int, cache: dict, out: list) -> bool:
     return True
 
 
-def _aggregate_status(checks: Sequence[CheckRecord], children: Sequence[Certificate],
+def _aggregate_status(check_statuses: Sequence[str], child_statuses: Sequence[str],
                       assumptions: Sequence[str]) -> str:
-    if any(c.status == CHECK_FAILED for c in checks):
+    """Status of a node from the statuses of its checks and children and from
+    its assumptions; the certificate builders and replay share this rule."""
+    if CHECK_FAILED in check_statuses or FAILED in child_statuses:
         return FAILED
-    if any(ch.status == FAILED for ch in children):
-        return FAILED
-    flagged = bool(assumptions) or any(c.status == CITED for c in checks)
-    flagged = flagged or any(ch.status == CERTIFIED_MODULO_ASSUMPTION for ch in children)
-    return CERTIFIED_MODULO_ASSUMPTION if flagged else CERTIFIED
+    if assumptions or CITED in check_statuses or CERTIFIED_MODULO_ASSUMPTION in child_statuses:
+        return CERTIFIED_MODULO_ASSUMPTION
+    return CERTIFIED
+
+
+def _node(claim: str, inst: dict, detail: str, checks: Sequence[CheckRecord],
+          children: Sequence[Certificate] = (), assumptions: Sequence[str] = ()) -> Certificate:
+    """A certificate whose status follows from its checks, children and
+    assumptions by `_aggregate_status`."""
+    status = _aggregate_status([c.status for c in checks], [c.status for c in children],
+                               assumptions)
+    return Certificate(claim, inst, status, detail, tuple(checks), tuple(assumptions),
+                       tuple(children))
+
+
+def _trivial_status(claim: str, b: int, dim_of) -> tuple:
+    """(status, detail, dimension) of an irreducible or zariski-dense instance
+    with b boundary circles, where status and detail are None when its space
+    needs a proof.  ``dim_of()`` gives the dimension; it is not called for a
+    zariski-dense instance with b < 4, which is NOT_APPLICABLE whatever its
+    space.  The drivers, `certify_four_punctures` and replay share this rule."""
+    if claim == "zariski-dense" and b < 4:
+        return NOT_APPLICABLE, "fewer than four punctures", None
+    dim = dim_of()
+    irreducible = claim == "irreducible"
+    if dim == 0:
+        return (NOT_APPLICABLE if irreducible else VACUOUS), "zero-dimensional space", dim
+    if dim == 1:
+        return VACUOUS, ("dimension 1, trivially irreducible" if irreducible
+                         else "dimension 1, projective action is trivial"), dim
+    return None, None, dim
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +409,9 @@ def certify_four_punctures(colors: Sequence[int], ring: RingSpec) -> Certificate
     a, b, c, d = colors
     inst = _instance(ring, 0, 4, colors)
     i_set = middle_colors(a, b, c, d, ring)
-    dim = len(i_set)
-    if dim == 0:
-        return Certificate("irreducible", inst, NOT_APPLICABLE,
-                           detail="zero-dimensional space")
-    if dim == 1:
-        return Certificate("irreducible", inst, VACUOUS,
-                           detail="dimension 1, trivially irreducible")
+    status, detail, _ = _trivial_status("irreducible", 4, lambda: len(i_set))
+    if status:
+        return Certificate("irreducible", inst, status, detail)
     j_set = middle_colors(a, d, c, b, ring)
     checks = []
 
@@ -419,9 +444,7 @@ def certify_four_punctures(colors: Sequence[int], ring: RingSpec) -> Certificate
         {"kind": "nonzero_scalars", "entries": entries},
     ))
 
-    status = _aggregate_status(checks, (), ())
-    return Certificate("irreducible", inst, status,
-                       detail="four-holed-sphere base case", checks=tuple(checks))
+    return _node("irreducible", inst, "four-holed-sphere base case", checks)
 
 
 def certify_one_holed_torus(p: int, a: int) -> Certificate:
@@ -458,10 +481,8 @@ def certify_one_holed_torus(p: int, a: int) -> Certificate:
     checks.append(CheckRecord("base-vector-pairings-nonzero", CITED,
                               {"kind": "cited", "statement": assumption}))
 
-    status = _aggregate_status(checks, (), (assumption,))
-    return Certificate("irreducible", inst, status,
-                       detail="one-holed-torus base case",
-                       checks=tuple(checks), assumptions=(assumption,))
+    return _node("irreducible", inst, "one-holed-torus base case", checks,
+                 assumptions=(assumption,))
 
 
 def _torus_exponents(p: int, a: int) -> list:
@@ -488,9 +509,8 @@ def _certify_cited_torus(ring: RingSpec, g: int, b: int, colors: Sequence[int]) 
         CheckRecord("irreducibility-cited", CITED,
                     {"kind": "cited", "statement": assumption}),
     )
-    return Certificate("irreducible", inst, CERTIFIED_MODULO_ASSUMPTION,
-                       detail="torus base case, cited",
-                       checks=checks, assumptions=(assumption,))
+    return _node("irreducible", inst, "torus base case, cited", checks,
+                 assumptions=(assumption,))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +518,28 @@ def _certify_cited_torus(ring: RingSpec, g: int, b: int, colors: Sequence[int]) 
 # ---------------------------------------------------------------------------
 
 
-def _pair_node(i: int, j: int) -> str:
-    return f"{i},{j}"
+def _two_way_graph(left: list, right: list, witness) -> DecompositionGraph:
+    """Decomposition graph with an edge each way between summands l of `left`
+    and r of `right` wherever ``witness(l, r)`` is not None, left to right
+    first.  A pair summand (i, j) is named "i,j"."""
+    def name(side, s):
+        return side + (f"{s[0]},{s[1]}" if isinstance(s, tuple) else str(s))
+    lnames = [name("L:", l) for l in left]
+    rnames = [name("R:", r) for r in right]
+    edges = []
+    for l, ln in zip(left, lnames):
+        for r, rn in zip(right, rnames):
+            wit = witness(l, r)
+            if wit is not None:
+                edges += [(ln, rn, wit), (rn, ln, wit)]
+    return DecompositionGraph(tuple(lnames), tuple(rnames), tuple(edges))
+
+
+def _triple_witness(ring: RingSpec, *triple) -> dict | None:
+    """Edge witness that `triple` is admissible, or None when it is not."""
+    if is_admissible_triple(*triple, ring):
+        return {"kind": "admissible_triple", "triple": list(triple), "ring": _ring_json(ring)}
+    return None
 
 
 def _two_boundary_data(p: int, g: int, colors: Sequence[int]):
@@ -525,19 +565,7 @@ def _two_boundary_data(p: int, g: int, colors: Sequence[int]):
                 right.append((i, j))
     if not left or not right:
         return DecompositionGraph((), (), ()), [], []
-    edges = []
-    for c in left:
-        for (i, j) in right:
-            if is_admissible_triple(c, i, j, ring):
-                wit = {"kind": "admissible_triple", "triple": [c, i, j],
-                       "ring": _ring_json(ring)}
-                edges.append((f"L:{c}", f"R:{_pair_node(i, j)}", wit))
-                edges.append((f"R:{_pair_node(i, j)}", f"L:{c}", wit))
-    graph = DecompositionGraph(
-        tuple(f"L:{c}" for c in left),
-        tuple(f"R:{_pair_node(i, j)}" for i, j in right),
-        tuple(edges),
-    )
+    graph = _two_way_graph(left, right, lambda c, ij: _triple_witness(ring, c, *ij))
 
     checks = []
     hub = (p - 3) // 2
@@ -577,28 +605,19 @@ def _closed_data(p: int, g: int, colors: Sequence[int]):
     families = [i for i in range(p - 1) if dimension(g - 1, 2, (i, i), ring) > 0]
     if not families:
         return DecompositionGraph((), (), ()), [], []
-    left = tuple(f"L:{i}" for i in families)
-    right = tuple(f"R:{j}" for j in families)
-    edges = []
-    complete = True
-    for i in families:
-        for j in families:
-            refinement = dimension(g - 2, 4, (i, i, j, j), ring)
-            if refinement > 0:
-                wit = {"kind": "refinement_dimension",
-                       "g": g - 2, "b": 4, "colors": [i, i, j, j],
-                       "ring": _ring_json(ring), "value": refinement}
-                edges.append((f"L:{i}", f"R:{j}", wit))
-                edges.append((f"R:{j}", f"L:{i}", wit))
-            else:
-                complete = False
-    graph = DecompositionGraph(left, right, tuple(edges))
 
+    def refinement(i, j):
+        value = dimension(g - 2, 4, (i, i, j, j), ring)
+        return {"kind": "refinement_dimension", "g": g - 2, "b": 4, "colors": [i, i, j, j],
+                "ring": _ring_json(ring), "value": value} if value > 0 else None
+
+    graph = _two_way_graph(families, families, refinement)
+    edge_count, expected = len(graph.edges) // 2, len(families) ** 2
     checks = [CheckRecord(
         "simultaneous-refinement-complete",
-        PASSED if complete else CHECK_FAILED,
+        PASSED if edge_count == expected else CHECK_FAILED,
         {"kind": "complete_bipartite", "families": families,
-         "edge_count": len(edges) // 2, "expected": len(families) ** 2},
+         "edge_count": edge_count, "expected": expected},
     )]
     checks.append(_connectivity_check(graph, "undirected", ring))
 
@@ -651,19 +670,7 @@ def _split_data(p: int, g: int, colors: Sequence[int]):
     if not left or not right:
         return DecompositionGraph((), (), ()), [], []
 
-    edges = []
-    for i in left:
-        for j in right:
-            if is_admissible_triple(i, j, a, ring):
-                wit = {"kind": "admissible_triple", "triple": [i, j, a],
-                       "ring": _ring_json(ring)}
-                edges.append((f"L:{i}", f"R:{j}", wit))
-                edges.append((f"R:{j}", f"L:{i}", wit))
-    graph = DecompositionGraph(
-        tuple(f"L:{i}" for i in left),
-        tuple(f"R:{j}" for j in right),
-        tuple(edges),
-    )
+    graph = _two_way_graph(left, right, lambda i, j: _triple_witness(ring, i, j, a))
 
     checks = [CheckRecord(
         "split-shapes-descend", PASSED,
@@ -729,15 +736,12 @@ def induction_step_graph(kind: str, p: int, g: int, colors: Sequence[int] = ()) 
     ring = root_of_unity(p)
     b = len(colors)
     graph, checks, _children = _STEP_BUILDERS[kind](p, g, colors)
+    inst = _instance(ring, g, b, colors)
     if not graph.left or not graph.right:
-        cert = Certificate(f"decomposition-step:{kind}", _instance(ring, g, b, colors),
-                           VACUOUS, detail="empty summand family")
-        return graph, cert
-    status = _aggregate_status(checks, (), ())
-    cert = Certificate(f"decomposition-step:{kind}", _instance(ring, g, b, colors),
-                       status, detail=f"decomposition step ({kind})",
-                       checks=tuple(checks))
-    return graph, cert
+        return graph, Certificate(f"decomposition-step:{kind}", inst, VACUOUS,
+                                  detail="empty summand family")
+    return graph, _node(f"decomposition-step:{kind}", inst, f"decomposition step ({kind})",
+                        checks)
 
 
 # ---------------------------------------------------------------------------
@@ -774,32 +778,45 @@ def certify_irreducible(p: int, g: int, b: int, colors: Sequence[int],
             raise ValueError(f"color {c} outside 0..{p - 2}")
     if g < 0 or b < 0:
         raise ValueError("genus and boundary count must be nonnegative")
-    memo: dict = {}
-    return _certify_node(ring, g, b, colors, memo, 0, max_depth)
+    return _certify_tree(partial(_certify_surface, ring), lambda shape: shape,
+                         (g, b, colors), max_depth)
 
 
-def _certify_node(ring: RingSpec, g: int, b: int, colors: tuple,
-                  memo: dict, depth: int, max_depth: int) -> Certificate:
-    key = (g, b, colors)
-    if key not in memo:
-        if depth > max_depth:
-            raise ValueError(f"induction depth exceeds max_depth={max_depth}")
-        memo[key] = _certify_new_node(ring, g, b, colors, memo, depth, max_depth)
-    return memo[key]
+def _certify_tree(build, key, arg, max_depth: int) -> Certificate:
+    """Certificate of the instance `arg`, with its sub-instances certified
+    recursively; both drivers run through here.
+
+    ``build(arg, recurse)`` certifies one instance, and ``recurse(args)``
+    returns the certificates of the sub-instances `args`, one per distinct
+    memo key ``key(arg)``, in first-seen order.  Each key is built once per
+    tree, by its first visit, at the depth of its first caller plus one; a
+    later visit gets that certificate, so it keeps the first visit's `arg`.
+    The memo is held by ``partial`` objects of a module-level function, not
+    by a closure that calls itself: that would put the memo in a reference
+    cycle and keep a finished tree alive until the cyclic collector runs.
+    """
+    return _certify_keys(build, key, {}, max_depth, 0, (arg,))[0]
 
 
-def _certify_new_node(ring: RingSpec, g: int, b: int, colors: tuple,
-                      memo: dict, depth: int, max_depth: int) -> Certificate:
+def _certify_keys(build, key, memo: dict, max_depth: int, depth: int, args) -> list:
+    distinct: dict = {}
+    for arg in args:
+        k = key(arg)
+        if k not in memo:
+            if depth > max_depth:
+                raise ValueError(f"induction depth exceeds max_depth={max_depth}")
+            memo[k] = build(arg, partial(_certify_keys, build, key, memo, max_depth, depth + 1))
+        distinct.setdefault(k, memo[k])
+    return list(distinct.values())
+
+
+def _certify_surface(ring: RingSpec, shape: tuple, recurse) -> Certificate:
+    g, b, colors = shape
     p = ring.p
     inst = _instance(ring, g, b, colors)
-
-    dim = dimension(g, b, colors, ring)
-    if dim == 0:
-        return Certificate("irreducible", inst, NOT_APPLICABLE,
-                           detail="zero-dimensional space")
-    if dim == 1:
-        return Certificate("irreducible", inst, VACUOUS,
-                           detail="dimension 1, trivially irreducible")
+    status, detail, dim = _trivial_status("irreducible", b, partial(dimension, g, b, colors, ring))
+    if status:
+        return Certificate("irreducible", inst, status, detail)
 
     if 0 in colors and b >= 1 and (g, b) != (0, 4):
         # capping off an untwisted circle is an isomorphism of actions
@@ -824,45 +841,29 @@ def _certify_new_node(ring: RingSpec, g: int, b: int, colors: tuple,
              "merged_index": k, "partner_index": partner,
              "dims": [dim, reduced_dim]},
         ),)
-        child = _certify_node(ring, g, b - 1, reduced, memo, depth + 1, max_depth)
-        status = _aggregate_status(checks, (child,), ())
-        return Certificate("irreducible", inst, status, detail=detail,
-                           checks=checks, children=(child,))
+        return _node("irreducible", inst, detail, checks, recurse([(g, b - 1, reduced)]))
 
     if (g, b) == (0, 4):
-        cert = certify_four_punctures(colors, ring)
-    elif (g, b) == (1, 1) and colors[0] > 0:
-        cert = certify_one_holed_torus(p, colors[0] // 2)
-    elif (g, b) == (1, 1) or (g, b) == (1, 0):
-        cert = _certify_cited_torus(ring, g, b, colors)
+        return certify_four_punctures(colors, ring)
+    if (g, b) == (1, 1) and colors[0] > 0:
+        return certify_one_holed_torus(p, colors[0] // 2)
+    if (g, b) == (1, 1) or (g, b) == (1, 0):
+        return _certify_cited_torus(ring, g, b, colors)
+    if b == 2 and g >= 1:
+        kind = "two_boundary"
+    elif b == 0 and g >= 2:
+        kind = "closed"
     else:
-        if b == 2 and g >= 1:
-            kind = "two_boundary"
-        elif b == 0 and g >= 2:
-            kind = "closed"
-        else:
-            kind = "split"
-        graph, checks, child_keys = _STEP_BUILDERS[kind](p, g, colors)
-        if not graph.left or not graph.right:
-            # unreachable for dim >= 2: the decomposition must cover the space
-            raise ValueError(f"empty decomposition for positive-dimensional ({g}, {b})")
-        del graph  # edges already recorded inside the connectivity witness
-        seen = set()
-        children = []
-        for (cg, cb, ccolors) in child_keys:
-            ckey = (cg, cb, tuple(ccolors))
-            if ckey in seen:
-                continue
-            seen.add(ckey)
-            if not (cg, cb) < (g, b):
-                raise ValueError(f"non-descending child {ckey} of ({g}, {b})")
-            children.append(_certify_node(ring, cg, cb, tuple(ccolors),
-                                          memo, depth + 1, max_depth))
-        status = _aggregate_status(checks, children, ())
-        cert = Certificate("irreducible", inst, status,
-                           detail=f"decomposition step ({kind})",
-                           checks=tuple(checks), children=tuple(children))
-    return cert
+        kind = "split"
+    graph, checks, shapes = _STEP_BUILDERS[kind](p, g, colors)
+    if not graph.left or not graph.right:
+        # unreachable for dim >= 2: the decomposition must cover the space
+        raise ValueError(f"empty decomposition for positive-dimensional ({g}, {b})")
+    del graph  # edges already recorded inside the connectivity witness
+    for shape in shapes:
+        if not shape[:2] < (g, b):
+            raise ValueError(f"non-descending child {shape} of ({g}, {b})")
+    return _node("irreducible", inst, f"decomposition step ({kind})", checks, recurse(shapes))
 
 
 # ---------------------------------------------------------------------------
@@ -1074,17 +1075,6 @@ def _intern_node(node, table: dict, ids: dict) -> int | None:
     return nid
 
 
-def _trivial_status(claim: str, inst: dict) -> str | None:
-    """The status an irreducible or zariski-dense instance has on its own
-    (NOT_APPLICABLE or VACUOUS), or None when its space needs a proof."""
-    if claim == "zariski-dense" and inst["b"] < 4:
-        return NOT_APPLICABLE
-    dim = dimension(inst["g"], inst["b"], tuple(inst["colors"]), _ring_from_json(inst))
-    if dim == 0 and claim == "irreducible":
-        return NOT_APPLICABLE
-    return VACUOUS if dim <= 1 else None
-
-
 def _replay_node(doc: dict, problems: list, path: str, ids: dict, memo: dict) -> str:
     """Replay one node; `memo` maps an interned id (from `ids`) to the status
     and the path-relative problems of its first replay."""
@@ -1106,7 +1096,9 @@ def _replay_new_node(doc: dict, problems: list, path: str, ids: dict, memo: dict
         claim = doc.get("claim")
         if claim not in ("irreducible", "zariski-dense"):
             return stored  # an empty decomposition step
-        derived = _trivial_status(claim, doc["instance"])
+        inst = doc["instance"]
+        derived = _trivial_status(claim, inst["b"], lambda: dimension(
+            inst["g"], inst["b"], tuple(inst["colors"]), _ring_from_json(inst)))[0]
         if derived == stored:
             return stored
         problems.append(f"{path}: stored status {stored}, but its instance gives "
@@ -1123,14 +1115,7 @@ def _replay_new_node(doc: dict, problems: list, path: str, ids: dict, memo: dict
     child_statuses = []
     for idx, child in enumerate(doc.get("children", ())):
         child_statuses.append(_replay_node(child, problems, f"{path}/{idx}", ids, memo))
-    if any(s == CHECK_FAILED for s in replayed_checks) \
-            or any(s == FAILED for s in child_statuses):
-        status = FAILED
-    elif any(s == CITED for s in replayed_checks) or doc.get("assumptions") \
-            or any(s == CERTIFIED_MODULO_ASSUMPTION for s in child_statuses):
-        status = CERTIFIED_MODULO_ASSUMPTION
-    else:
-        status = CERTIFIED
+    status = _aggregate_status(replayed_checks, child_statuses, doc.get("assumptions"))
     if status != stored:
         problems.append(f"{path}: replayed status {status}, stored {stored}")
     return status

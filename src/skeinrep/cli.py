@@ -22,6 +22,7 @@ from .certificates import (
     FAILED,
     NOT_APPLICABLE,
     VACUOUS,
+    _ring_json,
     certify_irreducible,
     replay_certificate,
     to_canonical_json,
@@ -204,10 +205,6 @@ def _require_gb(args) -> tuple:
     return args.g, args.b
 
 
-def _ring_params(ring: RingSpec) -> dict:
-    return {"mode": ring.mode, "p": ring.p}
-
-
 def _result(verb: str, params: dict, result) -> dict:
     out = {"schema": RESULT_SCHEMA, "verb": verb}
     out.update(params)
@@ -268,7 +265,7 @@ def _matrix_csv(M) -> list:
 def _run_qint(args):
     ring = _ring(args)
     value = quantum_integer(ring, args.i)
-    params = dict(_ring_params(ring), i=args.i)
+    params = dict(_ring_json(ring), i=args.i)
     return _result("qint", params, value.to_json()), repr(value), None, EXIT_OK
 
 
@@ -283,7 +280,7 @@ def _run_symbol(args):
     _check_color_bound(colors, args.max_colors)
     ring = _ring(args)
     value = fn(*colors, ring)
-    params = dict(_ring_params(ring), colors=list(colors))
+    params = dict(_ring_json(ring), colors=list(colors))
     return _result(args.verb, params, value.to_json()), repr(value), None, EXIT_OK
 
 
@@ -294,7 +291,7 @@ def _run_fmatrix(args):
     _check_color_bound(colors, args.max_colors)
     ring = _ring(args)
     F = fusion_matrix(*colors, ring)
-    params = dict(_ring_params(ring), colors=list(colors))
+    params = dict(_ring_json(ring), colors=list(colors))
     return (_result("fmatrix", params, F.to_json()),
             _matrix_text(F), _matrix_csv(F), EXIT_OK)
 
@@ -315,11 +312,11 @@ def _run_dim(args):
     if args.graph is not None:
         graph = graph_from_json(_load_json_input(args.graph))
         d = len(enumerate_colorings(graph, colors, ring))
-        params = dict(_ring_params(ring), colors=list(colors), graph="custom")
+        params = dict(_ring_json(ring), colors=list(colors), graph="custom")
     else:
         g, b = _require_gb(args)
         d = dimension(g, b, colors, ring)
-        params = dict(_ring_params(ring), g=g, b=b, colors=list(colors))
+        params = dict(_ring_json(ring), g=g, b=b, colors=list(colors))
     return _result("dim", params, d), str(d), None, EXIT_OK
 
 
@@ -334,7 +331,7 @@ def _run_colorings(args):
         "count": len(basis),
         "colorings": [list(c) for c in basis],
     }
-    params = dict(_ring_params(ring), colors=list(colors))
+    params = dict(_ring_json(ring), colors=list(colors))
     text = "\n".join(" ".join(str(c) for c in coloring) for coloring in basis) or "(empty)"
     csv_rows = [["edge" + str(k) for k in range(len(graph.edges))]]
     csv_rows += [[str(c) for c in coloring] for coloring in basis]
@@ -371,7 +368,7 @@ def _run_twist(args):
             M = interval_twist_matrix(n, lo, hi, colors, ring, inverse=args.inverse)
             curve = {"interval": [lo, hi], "g": 0, "b": n}
 
-    params = dict(_ring_params(ring), colors=list(colors),
+    params = dict(_ring_json(ring), colors=list(colors),
                   inverse=args.inverse, **curve)
     return (_result("twist", params, M.to_json()),
             _matrix_text(M), _matrix_csv(M), EXIT_OK)
@@ -383,7 +380,7 @@ def _run_oracle_eval(args):
     if not isinstance(rows, list):
         raise UsageError('oracle input wants {"rows": [...]}')
     ring = _ring(args)
-    kinds = {row[0] for row in rows if isinstance(row, list) and row}
+    kinds = {row[0] for row in rows if isinstance(row, list) and row and isinstance(row[0], str)}
     if kinds & _NETWORK_KINDS:
         value = evaluate_network(network_from_json(data), ring,
                                  max_strands=args.max_strands)
@@ -391,7 +388,7 @@ def _run_oracle_eval(args):
     else:
         value = resolve_bracket(diagram_from_json(data), ring)
         input_kind = "diagram"
-    params = dict(_ring_params(ring), input_kind=input_kind, rows=len(rows))
+    params = dict(_ring_json(ring), input_kind=input_kind, rows=len(rows))
     return (_result("oracle-eval", params, value.to_json()),
             repr(value), None, EXIT_OK)
 
@@ -440,7 +437,7 @@ def _run_sweep(args):
         for colors in product(palette, repeat=args.b):
             d = dimension(args.g, args.b, colors, ring)
             rows.append({"colors": list(colors), "dim": d})
-        params = dict(_ring_params(ring), g=args.g, b=args.b,
+        params = dict(_ring_json(ring), g=args.g, b=args.b,
                       max_color=args.max_color)
         csv_rows = [["colors", "dim"]]
         csv_rows += [[" ".join(str(c) for c in r["colors"]), str(r["dim"])] for r in rows]
@@ -453,7 +450,7 @@ def _run_sweep(args):
             instances = product(palette, repeat=args.b)
             run = lambda colors: certify_irreducible(
                 args.p, args.g, args.b, colors, max_depth=args.max_depth)
-            params = dict(_ring_params(ring), g=args.g, b=args.b,
+            params = dict(_ring_json(ring), g=args.g, b=args.b,
                           max_color=args.max_color)
         else:
             if args.p is not None:

@@ -33,14 +33,14 @@ from typing import Sequence
 from .certificates import (
     CHECK_FAILED,
     DEFAULT_MAX_DEPTH,
-    NOT_APPLICABLE,
     PASSED,
-    VACUOUS,
     Certificate,
     CheckRecord,
-    _aggregate_status,
+    _certify_tree,
     _instance,
+    _node,
     _ring_json,
+    _trivial_status,
     certify_four_punctures,
     register_replay_kind,
 )
@@ -325,14 +325,11 @@ def noniso_check(colors: Sequence[int], a_values: Sequence[int] | None = None) -
         PASSED if all_separated else CHECK_FAILED,
         witness,
     ),)
-    status = _aggregate_status(checks, (), ())
-    return Certificate(
-        claim="summands-pairwise-distinct",
-        instance={"mode": "generic", "p": None,
-                  "fixed_colors": list(colors), "a_values": a_values},
-        status=status,
-        detail=f"{len(pairs)} summand pairs compared, {len(skipped)} empty channels skipped",
-        checks=checks,
+    return _node(
+        "summands-pairwise-distinct",
+        {"mode": "generic", "p": None, "fixed_colors": list(colors), "a_values": a_values},
+        f"{len(pairs)} summand pairs compared, {len(skipped)} empty channels skipped",
+        checks,
     )
 
 
@@ -368,34 +365,19 @@ def certify_density(colors: Sequence[int], max_depth: int = DEFAULT_MAX_DEPTH) -
     colors = tuple(colors)
     if any(c < 0 for c in colors):
         raise ValueError(f"colors {colors} contain a negative entry")
-    memo: dict = {}
-    return _certify_node(colors, memo, 0, max_depth)
+    return _certify_tree(_certify_dense, lambda colors: tuple(sorted(colors)), colors, max_depth)
 
 
-def _certify_node(colors: tuple, memo: dict, depth: int, max_depth: int) -> Certificate:
-    key = tuple(sorted(colors))
-    if key not in memo:
-        if depth > max_depth:
-            raise ValueError(f"induction depth exceeds max_depth={max_depth}")
-        memo[key] = _certify_new_node(colors, memo, depth, max_depth)
-    return memo[key]
-
-
-def _certify_new_node(colors: tuple, memo: dict, depth: int, max_depth: int) -> Certificate:
+def _certify_dense(colors: tuple, recurse) -> Certificate:
     n = len(colors)
     inst = _instance(GENERIC, 0, n, colors)
-    if n < 4:
-        return Certificate("zariski-dense", inst, NOT_APPLICABLE,
-                           detail="fewer than four punctures")
-    dim = dimension(0, n, colors, GENERIC)
-    if dim == 0:
-        return Certificate("zariski-dense", inst, VACUOUS, detail="zero-dimensional space")
-    if dim == 1:
-        return Certificate("zariski-dense", inst, VACUOUS,
-                           detail="dimension 1, projective action is trivial")
+    status, detail, dim = _trivial_status("zariski-dense", n,
+                                          lambda: dimension(0, n, colors, GENERIC))
+    if status:
+        return Certificate("zariski-dense", inst, status, detail)
     if n == 4:
         return _certify_base(colors, inst, dim)
-    return _certify_step(colors, inst, memo, depth, max_depth)
+    return _certify_step(colors, inst, recurse)
 
 
 def _certify_base(colors: tuple, inst: dict, dim: int) -> Certificate:
@@ -442,21 +424,13 @@ def _certify_base(colors: tuple, inst: dict, dim: int) -> Certificate:
         dict(analysis, kind="weight_analysis"),
     )
 
-    checks = (tet_check, ratio_check, weight_check)
-    status = _aggregate_status(checks, (irreducible,), ())
-    return Certificate(
-        claim="zariski-dense",
-        instance=inst,
-        status=status,
-        detail=("four-puncture base case: irreducible, with an infinite-order "
-                "twist whose weights force the full special linear group"),
-        checks=checks,
-        children=(irreducible,),
-    )
+    return _node("zariski-dense", inst,
+                 "four-puncture base case: irreducible, with an infinite-order "
+                 "twist whose weights force the full special linear group",
+                 (tet_check, ratio_check, weight_check), (irreducible,))
 
 
-def _certify_step(colors: tuple, inst: dict, memo: dict, depth: int,
-                  max_depth: int) -> Certificate:
+def _certify_step(colors: tuple, inst: dict, recurse) -> Certificate:
     n = len(colors)
     srt = tuple(sorted(colors))
     checks = [CheckRecord(
@@ -486,28 +460,12 @@ def _certify_step(colors: tuple, inst: dict, memo: dict, depth: int,
     ))
 
     children = [noniso_check(rest, a_values=[a for a, _ in realized])]
-    seen = set()
-    for a, _ in realized:
-        child_colors = (a,) + rest
-        child_key = tuple(sorted(child_colors))
-        if child_key in seen:
-            continue
-        seen.add(child_key)
-        children.append(_certify_node(child_colors, memo, depth + 1, max_depth))
-
-    checks_t = tuple(checks)
-    children_t = tuple(children)
-    status = _aggregate_status(checks_t, children_t, ())
-    return Certificate(
-        claim="zariski-dense",
-        instance=inst,
-        status=status,
-        detail=("restriction to the fused two smallest punctures splits into "
-                "pairwise-distinct summands, each dense or small; density of "
-                "the whole image follows by assembling the simple factors"),
-        checks=checks_t,
-        children=children_t,
-    )
+    children += recurse([(a,) + rest for a, _ in realized])
+    return _node("zariski-dense", inst,
+                 "restriction to the fused two smallest punctures splits into "
+                 "pairwise-distinct summands, each dense or small; density of "
+                 "the whole image follows by assembling the simple factors",
+                 checks, children)
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,17 @@ class UniTrivalentGraph:
     boundary_order: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        object.__setattr__(self, "boundary_order", tuple(self.boundary_order))
+        if type(self.n_vertices) is not int or self.n_vertices < 0:
+            raise ValueError(f"vertex count must be a nonnegative integer, "
+                             f"got {self.n_vertices!r}")
+        if not isinstance(self.edges, (list, tuple)):
+            raise ValueError("edges must be a list of vertex pairs")
+        edges = tuple(_int_tuple(e, "edge") for e in self.edges)
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("each edge must be a pair of vertices")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "boundary_order",
+                           _int_tuple(self.boundary_order, "boundary order"))
         deg = [0] * self.n_vertices
         for u, v in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
@@ -174,12 +183,18 @@ class UniTrivalentGraph:
         }
 
 
+def _int_tuple(value, what: str) -> tuple:
+    """`value` as a tuple; ValueError unless it is a list of ints."""
+    if not isinstance(value, (list, tuple)) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def graph_from_json(data: dict) -> UniTrivalentGraph:
-    return UniTrivalentGraph(
-        data["vertices"],
-        tuple(tuple(e) for e in data["edges"]),
-        tuple(data["boundary_order"]),
-    )
+    missing = [k for k in ("vertices", "edges", "boundary_order") if k not in data]
+    if missing:
+        raise ValueError(f"graph JSON lacks {', '.join(missing)}")
+    return UniTrivalentGraph(data["vertices"], data["edges"], data["boundary_order"])
 
 
 def standard_graph(g: int, b: int) -> UniTrivalentGraph:

@@ -343,7 +343,24 @@ def jones_wenzl(n: int, ring: RingSpec) -> TLElement:
 # Closed bracket diagrams.  A diagram is a Morse word read bottom to top.
 # ---------------------------------------------------------------------------
 
-_BRACKET_ROWS = ("cup", "cap", "cross")
+# row kind -> number of int fields
+_BRACKET_ROWS = {"cup": 1, "cap": 1, "cross": 2}
+
+
+def _checked_rows(rows, arity: dict) -> tuple:
+    """`rows` as a tuple of tuples, each a row kind of `arity` followed by
+    that many int fields; ValueError on any other shape or field type."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"rows must be a list, got {type(rows).__name__}")
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or not row or not isinstance(row[0], str):
+            raise ValueError(f"malformed row {row!r}: want a kind and integers")
+        n = arity.get(row[0])
+        if n is None:
+            raise ValueError(f"unknown row kind {row[0]!r}")
+        if len(row) != n + 1 or any(type(x) is not int for x in row[1:]):
+            raise ValueError(f"malformed row {row!r}: want {[row[0]] + ['int'] * n}")
+    return tuple(tuple(r) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -355,7 +372,7 @@ class PlanarDiagram:
     rows: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", _checked_rows(self.rows, _BRACKET_ROWS))
         width = 0
         for row in self.rows:
             kind = row[0]
@@ -375,8 +392,6 @@ class PlanarDiagram:
                     raise ValueError("crossing sign must be +1 or -1")
                 if not 0 <= i <= width - 2:
                     raise ValueError(f"crossing at {i} invalid at width {width}")
-            else:
-                raise ValueError(f"unknown row kind {kind!r}")
         object.__setattr__(self, "final_width", width)
 
     final_width: int = 0
@@ -389,7 +404,7 @@ class PlanarDiagram:
 
 
 def diagram_from_json(data: dict) -> PlanarDiagram:
-    return PlanarDiagram(tuple(tuple(r) for r in data["rows"]))
+    return PlanarDiagram(data.get("rows"))
 
 
 def resolve_bracket(diagram: PlanarDiagram, ring: RingSpec) -> Scalar:
@@ -420,7 +435,7 @@ def resolve_bracket(diagram: PlanarDiagram, ring: RingSpec) -> Scalar:
 #   ("proj", o, w)     Jones-Wenzl box f_w on strands o..o+w-1
 # ---------------------------------------------------------------------------
 
-_NETWORK_ROWS = ("cupnest", "capnest", "proj")
+_NETWORK_ROWS = {"cupnest": 2, "capnest": 2, "proj": 2}
 
 
 @dataclass(frozen=True)
@@ -428,7 +443,7 @@ class NetworkTerm:
     rows: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", _checked_rows(self.rows, _NETWORK_ROWS))
         width = 0
         peak = 0
         for row in self.rows:
@@ -444,8 +459,6 @@ class NetworkTerm:
             elif kind == "proj":
                 if not (x >= 0 and 0 <= o and o + x <= width):
                     raise ValueError(f"proj({o},{x}) invalid at width {width}")
-            else:
-                raise ValueError(f"unknown row kind {kind!r}")
             peak = max(peak, width)
         object.__setattr__(self, "final_width", width)
         object.__setattr__(self, "peak_width", peak)
@@ -461,7 +474,7 @@ class NetworkTerm:
 
 
 def network_from_json(data: dict) -> NetworkTerm:
-    return NetworkTerm(tuple(tuple(r) for r in data["rows"]))
+    return NetworkTerm(data.get("rows"))
 
 
 def evaluate_network(

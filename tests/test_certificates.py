@@ -1,14 +1,17 @@
 """Irreducibility certificates: builders, aggregation, replay soundness."""
 
 import copy
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
 from skeinrep.certificates import (
     CERTIFIED,
     CERTIFIED_MODULO_ASSUMPTION,
+    DEFAULT_MAX_DEPTH,
     FAILED,
     NOT_APPLICABLE,
     SCHEMA,
@@ -200,6 +203,36 @@ def test_certify_irreducible_zero_and_max_colors():
     cert = certify_irreducible(5, 0, 4, (3, 1, 1, 1))
     assert cert.status in (CERTIFIED, CERTIFIED_MODULO_ASSUMPTION, VACUOUS)
     assert not replay_certificate(cert.to_json())[1]
+
+
+@pytest.mark.parametrize("build, least", [
+    (lambda d: certify_irreducible(7, 3, 0, (), max_depth=d), 6),
+    (lambda d: certify_irreducible(5, 4, 0, (), max_depth=d), 9),
+    (lambda d: certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2), max_depth=d), 1),
+    (lambda d: certify_density((1, 2, 2, 3, 3, 3), max_depth=d), 2),
+], ids=["7,3,0", "5,4,0", "7,0,5", "dense 122333"])
+def test_max_depth_bounds_the_induction(build, least):
+    # the root is at depth 0; `least` is the deepest first visit of any node
+    assert build(least) == build(DEFAULT_MAX_DEPTH)
+    with pytest.raises(ValueError, match=f"^induction depth exceeds max_depth={least - 1}$"):
+        build(least - 1)
+
+
+def test_finished_trees_are_freed_without_the_cyclic_collector():
+    # a memo held by a closure that calls itself sits in a reference cycle
+    # and keeps every node of a finished tree alive until gc runs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build in (lambda: certify_irreducible(7, 3, 0, ()),
+                      lambda: certify_density((1, 2, 2, 3, 3, 3))):
+            root = build()
+            child = weakref.ref(root.children[-1])
+            del root
+            assert child() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_replay_rejects_tampering():

@@ -127,6 +127,40 @@ def test_usage_errors(capsys):
     assert code == 2 and "max-colors" in err
 
 
+def test_malformed_oracle_and_graph_input(capsys, tmp_path):
+    # bad shapes and non-int fields are usage errors with a message, never a
+    # traceback or the FAILED exit code
+    path = tmp_path / "input.json"
+    oracle = ("oracle-eval", "--file", str(path))
+    graph = ("dim", "--graph", str(path), "--p", "5", "--colors", "2")
+    cases = (
+        (oracle, {"rows": [5]}),
+        (oracle, {"rows": [["cup", "x"]]}),
+        (oracle, {"rows": [["proj", 0, "x"]]}),
+        (oracle + ("--generic",), {"rows": [["cupnest", 0, 1.5], ["capnest", 0, 1.5]]}),
+        (graph, {"vertices": 2}),
+        (graph, {"vertices": "a", "edges": [], "boundary_order": []}),
+        (graph, {"vertices": 2, "edges": [[0, "1"], [0, 0]], "boundary_order": [1]}),
+        (graph, {"vertices": 2, "edges": [[0, 1], [0, 0]], "boundary_order": 1}),
+    )
+    for argv, data in cases:
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: "), (data, err)
+    # the well-formed graph of the last two cases
+    path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1], [0, 0]],
+                                "boundary_order": [1]}))
+    code, out, _ = run(capsys, *graph)
+    assert code == 0 and out.strip() == "3"
+
+
+def test_certify_max_depth(capsys):
+    code, _, err = run(capsys, "certify", "dense", "--colors", "1,2,2,3,3,3", "--max-depth", "1")
+    assert code == 2 and "induction depth exceeds max_depth=1" in err
+    code, _, _ = run(capsys, "certify", "dense", "--colors", "1,2,2,3,3,3", "--max-depth", "2")
+    assert code == 0
+
+
 def test_mode_defaults_to_generic(capsys):
     code, out, _ = run(capsys, "qint", "--i", "3")
     assert code == 0 and out.strip() == "A^4 + 1 + A^-4"

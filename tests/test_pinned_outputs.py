@@ -6,7 +6,10 @@ integer-scaled ones (the genus-3 certificate was recorded with the plain
 ``json.dumps`` writer that preceded the piecewise one).  The (5,4,0),
 (11,2,0) and (13,1,2) certificates and the CLI replay output were recorded
 with the writer keyed by compact dumps and the replay that walked every
-occurrence, before either was keyed by `_node_key`.  Any change to the
+occurrence, before either was keyed by `_node_key`.  The (1,2,2,2,2,3)
+density certificate and the five trivial-status certificates were recorded
+with the separate irreducibility and density drivers that preceded the one
+memoized recursion.  Any change to the
 scalar kernel, the recoupling symbols, the certificate layout or the replay
 messages that alters a single byte fails here."""
 
@@ -32,6 +35,9 @@ PINNED = [
     ("certify 5,4,0", lambda: certify_irreducible(5, 4, 0, ()), "4030ad11f5f3"),
     ("certify 11,2,0", lambda: certify_irreducible(11, 2, 0, ()), "da307e6e9285"),
     ("certify 13,1,2", lambda: certify_irreducible(13, 1, 2, (2, 2)), "cc6aefec913c"),
+    # trivial statuses: dimension 0 (NOT_APPLICABLE) and dimension 1 (VACUOUS)
+    ("certify 5,1,1", lambda: certify_irreducible(5, 1, 1, (3,)), "fcb9d0f9abfa"),
+    ("certify 5,0,3", lambda: certify_irreducible(5, 0, 3, (1, 1, 2)), "8660c800bec3"),
     ("fusion 4444 p11", lambda: fusion_matrix(4, 4, 4, 4, root_of_unity(11)), "760c1a295485"),
     ("fusion 5656 p13", lambda: fusion_matrix(5, 6, 5, 6, root_of_unity(13)), "6a0d9702f3fc"),
     ("twist p7", lambda: pure_braid_twist(5, (2, 4), (1, 2, 2, 2, 3), root_of_unity(7)),
@@ -43,6 +49,12 @@ GENERIC_PINNED = [
     ("twist", lambda: pure_braid_twist(5, (2, 4), (1, 2, 2, 2, 3), GENERIC), "72761dad2c07"),
     ("tet 332332", lambda: tet(3, 3, 2, 3, 3, 2, GENERIC), "f311e3425ac4"),
     ("certify dense", lambda: certify_density((1, 2, 2, 3, 3, 3)), "3f126ee2a25a"),
+    # the (3,2,2,2,3) step asks for (2,2,3,3) and gets the node built as (3,2,2,3)
+    ("certify dense 122223", lambda: certify_density((1, 2, 2, 2, 2, 3)), "3adb46945197"),
+    # trivial statuses: fewer than four punctures, dimension 0, dimension 1
+    ("certify dense 111", lambda: certify_density((1, 1, 1)), "0b437e10934e"),
+    ("certify dense 1112", lambda: certify_density((1, 1, 1, 2)), "e424fed45b83"),
+    ("certify dense 00000", lambda: certify_density((0, 0, 0, 0, 0)), "1650ede36158"),
 ]
 
 
