@@ -24,6 +24,7 @@ the tree and downgrade CERTIFIED to CERTIFIED_MODULO_ASSUMPTION.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import marshal
 from dataclasses import dataclass
@@ -36,7 +37,8 @@ from .scalars import GENERIC, RingSpec, Scalar, a_power, root_of_unity, scalar_f
 from .spaces import dimension, is_admissible_triple
 from .twists import twist_eigenvalue
 
-SCHEMA = "skeinrep.certificate/1"
+SCHEMA = "skeinrep.certificate/2"
+TREE_SCHEMA = "skeinrep.certificate/1"
 
 CERTIFIED = "CERTIFIED"
 CERTIFIED_MODULO_ASSUMPTION = "CERTIFIED_MODULO_ASSUMPTION"
@@ -88,97 +90,65 @@ class Certificate:
         return self.status in (CERTIFIED, CERTIFIED_MODULO_ASSUMPTION)
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "claim": self.claim,
-            "instance": self.instance,
-            "status": self.status,
-            "detail": self.detail,
-            "assumptions": list(self.assumptions),
-            "checks": [c.to_json() for c in self.checks],
-            "children": [c.to_json() for c in self.children],
+        """The certificate as a ``skeinrep.certificate/2`` document: the
+        table of its distinct nodes under their ids, and the root's id."""
+        nodes: dict = {}
+        return {"schema": SCHEMA, "root": _table_node(self, nodes, {}), "nodes": nodes}
+
+
+def _table_node(cert: Certificate, nodes: dict, ids: dict) -> str:
+    """Id of `cert`'s node, added to `nodes` with its descendants.
+
+    A node is the certificate's fields with ``children`` a list of child
+    ids, and its id is the SHA-256 hex of its compact sorted JSON text, so
+    equal subtrees get one id.  The drivers build each sub-instance once and
+    share the object, so `ids` (keyed by ``id()`` of the objects, all alive
+    for the walk) hashes each shared node once.
+    """
+    nid = ids.get(id(cert))
+    if nid is None:
+        node = {
+            "claim": cert.claim,
+            "instance": cert.instance,
+            "status": cert.status,
+            "detail": cert.detail,
+            "assumptions": list(cert.assumptions),
+            "checks": [c.to_json() for c in cert.checks],
+            "children": [_table_node(c, nodes, ids) for c in cert.children],
         }
+        text = json.dumps(node, sort_keys=True, separators=(",", ":"))
+        nid = ids[id(cert)] = hashlib.sha256(text.encode()).hexdigest()
+        nodes[nid] = node
+    return nid
 
 
-_PLACEHOLDER = "\0child"
-_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
-
-
-def _node_key(shell: dict) -> bytes | None:
-    """Exact content key of a node's shell (the node with its ``children``
-    replaced), or None when the shell holds a type marshal cannot write.
+def _node_key(node: dict) -> bytes | None:
+    """Exact in-process content key of a node, or None when the node holds
+    a type marshal cannot write.
 
     ``marshal`` is C code and tags every value with its exact type, so equal
     keys mean equal values of equal types: ``1``, ``1.0``, ``true`` and
     ``"1"`` never share a key.  Equal values written differently (another
     key order, other object sharing) only get different keys.  The bytes
-    are used in-process only and never written.
+    are never written.
     """
     try:
-        return marshal.dumps(shell)
+        return marshal.dumps(node)
     except ValueError:
         return None
 
 
 def to_canonical_json(doc: dict) -> str:
-    """Deterministic serialization: fixed key order, fixed layout, no clocks.
+    """Deterministic serialization: sorted keys, fixed layout, no clocks.
 
-    The text is exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
-    A certificate tree repeats the subtrees of shared sub-instances, and the
-    indenting encoder is pure Python, so each distinct node is rendered once:
-    its fields other than ``children`` are dumped with a placeholder string
-    per child and split on the placeholder.  The pieces are cached under the
-    shell's exact content key (`_node_key`) and the node's depth.  A node met
-    again at another depth is re-indented from its first rendering by
-    swapping the indent after each newline; every newline in that text is
-    structural, because JSON escapes newlines inside strings.  Every
-    occurrence then splices cached pieces around its children.  The key is
-    the node's content, never its ``id``, so the text depends only on the
-    document's value.  Any document that is not a tree of dicts each with a
-    ``children`` list of dicts, or whose fields contain the placeholder
-    itself or a type the key cannot write, takes the plain ``json.dumps``
-    line.
+    A ``skeinrep.certificate/2`` document is written compact, as
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, which runs
+    the C encoder; every other payload is
+    ``json.dumps(doc, sort_keys=True, indent=2)``.  Both end in a newline.
     """
-    out: list = []
-    if isinstance(doc, dict) and _append_node(doc, 0, {}, out):
-        out.append("\n")
-        return "".join(out)
+    if isinstance(doc, dict) and doc.get("schema") == SCHEMA:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _append_node(node: dict, level: int, cache: dict, out: list) -> bool:
-    """Append the indented text of `node` at indent `level` to `out`; False
-    when some node cannot be rendered piecewise.  `cache` maps a shell key
-    to {level: pieces}; its first entry is the one the encoder rendered."""
-    children = node.get("children")
-    if type(children) is not list or not all(isinstance(c, dict) for c in children):
-        return False
-    shell = dict(node)
-    shell["children"] = [_PLACEHOLDER] * len(children)
-    key = _node_key(shell)
-    if key is None:
-        return False
-    by_level = cache.get(key)
-    if by_level is None:
-        pieces = json.dumps(shell, sort_keys=True, indent=2).split(_PLACEHOLDER_JSON)
-        if len(pieces) != len(children) + 1:
-            return False
-        if level:
-            pad = "\n" + "  " * level
-            pieces = [piece.replace("\n", pad) for piece in pieces]
-        cache[key] = {level: pieces}
-    else:
-        pieces = by_level.get(level)
-        if pieces is None:
-            first_level, first = next(iter(by_level.items()))
-            old, new = "\n" + "  " * first_level, "\n" + "  " * level
-            pieces = by_level[level] = [piece.replace(old, new) for piece in first]
-    out.append(pieces[0])
-    for child, piece in zip(children, pieces[1:]):
-        if not _append_node(child, level + 2, cache, out):
-            return False
-        out.append(piece)
-    return True
 
 
 def _aggregate_status(check_statuses: Sequence[str], child_statuses: Sequence[str],
@@ -1036,61 +1006,102 @@ def replay_certificate(doc: dict) -> tuple:
     replayed checks; problems lists every disagreement with the stored
     document, so an empty list means the artifact replays exactly.
 
-    A tree repeats the subtrees of shared sub-instances, so each distinct
-    subtree is replayed once.  One bottom-up pass gives every node an
-    interned id: the exact content key (`_node_key`) of the node with its
-    ``children`` replaced by their ids.  Equal ids therefore mean equal
-    subtrees, value for value and type for type.  The replay walk then
-    keeps each id's status and its problems relative to the node's path,
-    and at a repeat re-prefixes them with the current path.  That is sound
-    because a node's replayed status and problems depend only on its own
-    content; its path appears only as the prefix of its messages.  So the
-    status, the problems and their order are those of replaying every
-    occurrence.  Nodes the pass cannot key (malformed ``children``) are
-    replayed unmemoized, and so are their ancestors.
+    Both schemas load into one table of distinct nodes whose ``children``
+    are ids.  A ``/2`` document is that table.  A ``/1`` tree is interned
+    by `_intern_node`, which gives equal subtrees one in-process id.  The
+    walk from the root then replays each id once, keeps its status and its
+    problems relative to the node's path, and at a repeat re-prefixes them
+    with the current path.  That is sound because a node's replayed status
+    and problems depend only on its content and its children's (a node on
+    a cycle replays FAILED wherever it is entered); its path appears only
+    as the prefix of its messages.  So the status, the
+    problems and their order are those of replaying the expanded tree.  A
+    child id that names no node, a node that is its own descendant and a
+    node the root cannot reach are problems, and make the status FAILED.  A
+    ``/2`` document whose root is not a string or whose nodes are not an
+    object raises TypeError.
     """
     problems: list = []
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"cert: unknown schema {doc.get('schema')!r}, want {SCHEMA!r}")
+    schema = doc.get("schema")
+    if schema == SCHEMA:
+        root, nodes = doc["root"], doc["nodes"]
+        if not isinstance(root, str) or not isinstance(nodes, dict):
+            raise TypeError("a certificate/2 document needs a string root and an object of nodes")
+    elif schema == TREE_SCHEMA:
+        nodes = {}
+        root = _intern_node(doc, {}, nodes)
+    else:
+        problems.append(f"cert: unknown schema {schema!r}, want {SCHEMA!r} or {TREE_SCHEMA!r}")
         return FAILED, problems
-    ids: dict = {}
-    _intern_node(doc, {}, ids)
-    status = _replay_node(doc, problems, "cert", ids, {})
+    status = _replay_node(root, nodes, problems, "cert", {})
+    for nid in sorted(nodes.keys() - _reachable(root, nodes)):
+        problems.append(f"cert: node {nid} is not reachable from the root")
+        status = FAILED
     return status, problems
 
 
-def _intern_node(node, table: dict, ids: dict) -> int | None:
-    """Interned id of `node`'s subtree, recorded in `ids` under id(node);
-    None, with no record, when the node or a descendant is not a dict with
-    a list of children, or holds a type the key cannot write.  A missing
-    ``children`` reads as an empty list, as it does in replay."""
+def _root_node(doc: dict) -> dict:
+    """The root node of a certificate document of either schema; {} when a
+    ``/2`` root names no node."""
+    if doc.get("schema") == SCHEMA:
+        return doc["nodes"].get(doc["root"], {})
+    return doc
+
+
+def _intern_node(node, keys: dict, nodes: dict) -> int:
+    """Id of the ``/1`` subtree `node`, added to `nodes` with its children
+    replaced by their ids.  `keys` maps the exact content key (`_node_key`)
+    of such an entry to its id, so equal subtrees share one.  A missing
+    ``children`` reads as an empty list, and a string or object as the
+    items it iterates, as in a walk of the tree.  A node that is not a dict,
+    whose ``children`` is another type, or that holds a type the key cannot
+    write gets an id of its own, and replay meets its flaw as the walk
+    would."""
     children = node.get("children", []) if isinstance(node, dict) else None
-    if not isinstance(children, list):
-        return None
-    kids = [_intern_node(child, table, ids) for child in children]
-    key = None if None in kids else _node_key(dict(node, children=kids))
-    if key is None:
-        return None
-    nid = ids[id(node)] = table.setdefault(key, len(table))
+    key = None
+    if isinstance(children, (list, dict, str)):
+        node = dict(node, children=[_intern_node(child, keys, nodes) for child in children])
+        key = _node_key(node)
+    nid = len(nodes) if key is None else keys.setdefault(key, len(nodes))
+    nodes.setdefault(nid, node)
     return nid
 
 
-def _replay_node(doc: dict, problems: list, path: str, ids: dict, memo: dict) -> str:
-    """Replay one node; `memo` maps an interned id (from `ids`) to the status
-    and the path-relative problems of its first replay."""
-    nid = ids.get(id(doc))
+def _reachable(root, nodes: dict) -> set:
+    """Ids of the table nodes that `root` reaches through ``children``."""
+    seen, stack = set(), [root]
+    while stack:
+        nid = stack.pop()
+        if nid in nodes and nid not in seen:
+            seen.add(nid)
+            children = nodes[nid].get("children") if isinstance(nodes[nid], dict) else None
+            if isinstance(children, list):
+                stack.extend(children)
+    return seen
+
+
+def _replay_node(nid, nodes: dict, problems: list, path: str, memo: dict) -> str:
+    """Replay the node `nid` of the table `nodes`; `memo` maps an id to the
+    status and the path-relative problems of its first replay, or to None
+    while that replay runs."""
     if nid in memo:
+        if memo[nid] is None:
+            problems.append(f"{path}: node {nid} is its own descendant")
+            return FAILED
         status, relative = memo[nid]
         problems.extend(path + message for message in relative)
         return status
+    if nid not in nodes:
+        problems.append(f"{path}: no node {nid} in the table")
+        return FAILED
+    memo[nid] = None
     start = len(problems)
-    status = _replay_new_node(doc, problems, path, ids, memo)
-    if nid is not None:
-        memo[nid] = (status, [message[len(path):] for message in problems[start:]])
+    status = _replay_new_node(nodes[nid], problems, path, nodes, memo)
+    memo[nid] = (status, [message[len(path):] for message in problems[start:]])
     return status
 
 
-def _replay_new_node(doc: dict, problems: list, path: str, ids: dict, memo: dict) -> str:
+def _replay_new_node(doc: dict, problems: list, path: str, nodes: dict, memo: dict) -> str:
     stored = doc.get("status")
     if stored in (VACUOUS, NOT_APPLICABLE):
         claim = doc.get("claim")
@@ -1112,9 +1123,11 @@ def _replay_new_node(doc: dict, problems: list, path: str, ids: dict, memo: dict
             problems.append(
                 f"{path}/{check.get('name', '?')}: replayed {got}, stored {want}")
         replayed_checks.append(got)
-    child_statuses = []
-    for idx, child in enumerate(doc.get("children", ())):
-        child_statuses.append(_replay_node(child, problems, f"{path}/{idx}", ids, memo))
+    children = doc.get("children", [])
+    if not isinstance(children, list):
+        raise TypeError(f"{path}: children is not a list")
+    child_statuses = [_replay_node(nid, nodes, problems, f"{path}/{idx}", memo)
+                      for idx, nid in enumerate(children)]
     status = _aggregate_status(replayed_checks, child_statuses, doc.get("assumptions"))
     if status != stored:
         problems.append(f"{path}: replayed status {status}, stored {stored}")

@@ -23,6 +23,7 @@ from .certificates import (
     NOT_APPLICABLE,
     VACUOUS,
     _ring_json,
+    _root_node,
     certify_irreducible,
     replay_certificate,
     to_canonical_json,
@@ -32,7 +33,13 @@ from .recoupling import fusion_matrix, sixj, tet, theta
 from .scalars import GENERIC, RingSpec, quantum_integer, root_of_unity
 from .spaces import dimension, enumerate_colorings, graph_from_json, standard_graph
 from .tl import DEFAULT_STRAND_BOUND as DEFAULT_MAX_STRANDS
-from .tl import diagram_from_json, evaluate_network, network_from_json, resolve_bracket
+from .tl import (
+    _NETWORK_ROWS,
+    diagram_from_json,
+    evaluate_network,
+    network_from_json,
+    resolve_bracket,
+)
 from .twists import edge_twist_matrix, interval_twist_matrix, pure_braid_twist
 
 RESULT_SCHEMA = "skeinrep.result/1"
@@ -43,9 +50,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
-
-_NETWORK_KINDS = {"cupnest", "capnest", "proj"}
-
 
 class UsageError(Exception):
     pass
@@ -381,7 +385,7 @@ def _run_oracle_eval(args):
         raise UsageError('oracle input wants {"rows": [...]}')
     ring = _ring(args)
     kinds = {row[0] for row in rows if isinstance(row, list) and row and isinstance(row[0], str)}
-    if kinds & _NETWORK_KINDS:
+    if not kinds.isdisjoint(_NETWORK_ROWS):
         value = evaluate_network(network_from_json(data), ring,
                                  max_strands=args.max_strands)
         input_kind = "network"
@@ -394,10 +398,11 @@ def _run_oracle_eval(args):
 
 
 def _cert_text(doc: dict) -> str:
-    lines = [f"{doc['claim']} {doc['instance']} -> {doc['status']}"]
-    if doc.get("detail"):
-        lines.append(f"  {doc['detail']}")
-    for assumption in doc.get("assumptions", ()):
+    root = _root_node(doc)
+    lines = [f"{root['claim']} {root['instance']} -> {root['status']}"]
+    if root.get("detail"):
+        lines.append(f"  {root['detail']}")
+    for assumption in root.get("assumptions", ()):
         lines.append(f"  assumes: {assumption}")
     return "\n".join(lines)
 
@@ -481,15 +486,16 @@ def _run_replay(args):
     doc = _load_json_input(args.file)
     try:
         status, problems = replay_certificate(doc)
-    except (KeyError, TypeError, AttributeError) as e:
+        root = _root_node(doc)
+        stored = root.get("status")
+    except (KeyError, TypeError, AttributeError, RecursionError) as e:
         raise UsageError(f"malformed certificate: {type(e).__name__}: {e}")
-    stored = doc.get("status")
     payload = _result("replay", {"stored_status": stored}, {
         "status": status,
         "problems": problems,
         "match": status == stored and not problems,
     })
-    lines = [f"replayed {doc.get('claim', '?')} -> {status} (stored {stored})"]
+    lines = [f"replayed {root.get('claim', '?')} -> {status} (stored {stored})"]
     lines += [f"  problem: {p}" for p in problems]
     code = EXIT_FAILED if problems else _status_exit(status)
     return payload, "\n".join(lines), None, code

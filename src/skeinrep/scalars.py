@@ -640,7 +640,7 @@ class Scalar:
             return {
                 "mode": "root_of_unity",
                 "p": self.ring.p,
-                "coefficients": [str(Fraction(c, self._d)) for c in self._vec],
+                "coefficients": [_ratio_text(c, self._d) for c in self._vec],
             }
         out = {
             "mode": "generic",
@@ -649,6 +649,12 @@ class Scalar:
         if not self.is_laurent():
             out["denominator"] = {str(e): str(c) for e, c in self.denominator_terms()}
         return out
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, reduced with one gcd."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _integer_laurent(terms: dict) -> tuple[int, list[int], int]:

@@ -7,6 +7,7 @@ import random
 import weakref
 
 import pytest
+from certtables import expand, tree_nodes
 
 from skeinrep.certificates import (
     CERTIFIED,
@@ -122,8 +123,9 @@ def test_four_punctures_certificate():
     assert cert.status == CERTIFIED
     names = [c.name for c in cert.checks]
     assert "decomposition-graph-connected:undirected" in names
-    doc = cert.to_json()
-    assert doc["schema"] == SCHEMA
+    table = cert.to_json()
+    assert table["schema"] == SCHEMA
+    doc = expand(table)
     assert doc["instance"]["p"] == 5 and doc["instance"]["colors"] == [1, 1, 1, 1]
     # generic mode demands strong connectivity
     gen = certify_four_punctures((1, 1, 1, 1), GENERIC)
@@ -237,7 +239,7 @@ def test_finished_trees_are_freed_without_the_cyclic_collector():
 
 def test_replay_rejects_tampering():
     cert = certify_irreducible(5, 0, 5, (1, 1, 1, 1, 2))
-    doc = cert.to_json()
+    doc = expand(cert.to_json())
 
     # claim a different status
     bad = copy.deepcopy(doc)
@@ -246,7 +248,7 @@ def test_replay_rejects_tampering():
     assert problems
 
     # lie about a dimension inside a genus tree
-    genus_doc = certify_irreducible(5, 1, 2, (1, 1)).to_json()
+    genus_doc = expand(certify_irreducible(5, 1, 2, (1, 1)).to_json())
     bad_genus = copy.deepcopy(genus_doc)
 
     def bump_dimension(node):
@@ -330,7 +332,7 @@ def _first_witness(node, kind):
 
 
 def test_replay_binds_values_to_channels():
-    doc = certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()
+    doc = expand(certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json())
     wit = _first_witness(doc, "distinct_values")
     assert len(wit["channels"]) >= 2
     assert replay_certificate(doc) == (doc["status"], [])
@@ -363,7 +365,7 @@ def test_replay_binds_values_to_channels():
     assert any("channel 0: color 9 out of range" in m for m in problems), problems
 
     # the one-holed torus stores exponents, not channels
-    torus = certify_one_holed_torus(7, 1).to_json()
+    torus = expand(certify_one_holed_torus(7, 1).to_json())
     assert "channels" not in _first_witness(torus, "distinct_values")
     assert replay_certificate(torus) == (torus["status"], [])
 
@@ -398,7 +400,7 @@ def test_replay_binds_values_to_channels():
 
 def test_replay_rederives_trivial_statuses():
     # a 2-dimensional child relabelled VACUOUS, with its proof stripped
-    doc = certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()
+    doc = expand(certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json())
     child = doc["children"][3]
     assert child["instance"]["colors"] == [1, 1, 2, 2] and child["status"] == CERTIFIED
     child.update(status=VACUOUS, checks=[], children=[])
@@ -407,7 +409,7 @@ def test_replay_rederives_trivial_statuses():
     assert any(msg.startswith("cert/3: stored status VACUOUS") for msg in problems)
 
     # a dimension-1 leaf relabelled NOT_APPLICABLE
-    doc = certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()
+    doc = expand(certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json())
     assert doc["children"][0]["status"] == VACUOUS
     doc["children"][0]["status"] = NOT_APPLICABLE
     assert replay_certificate(doc)[0] == FAILED
@@ -415,7 +417,7 @@ def test_replay_rederives_trivial_statuses():
     # zariski-dense: fewer than four punctures, dimension 1, dimension >= 2
     for colors, honest in (((1, 1, 2), NOT_APPLICABLE), ((1, 1, 1, 3), VACUOUS),
                            ((1, 1, 1, 1), CERTIFIED)):
-        doc = certify_density(colors).to_json()
+        doc = expand(certify_density(colors).to_json())
         assert doc["status"] == honest
         assert replay_certificate(doc) == (honest, [])
         for forged in {VACUOUS, NOT_APPLICABLE} - {honest}:
@@ -445,9 +447,9 @@ def _indented(doc) -> str:
 
 
 def test_canonical_json_is_indented_dumps():
-    docs = [certify_irreducible(7, 3, 0, ()).to_json(),
-            certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json(),
-            certify_density((1, 2, 2, 3, 3, 3)).to_json()]
+    docs = [expand(certify_irreducible(7, 3, 0, ()).to_json()),
+            expand(certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()),
+            expand(certify_density((1, 2, 2, 3, 3, 3)).to_json())]
     for doc in docs:
         assert to_canonical_json(doc) == _indented(doc)
 
@@ -493,24 +495,6 @@ def test_canonical_json_is_indented_dumps():
         assert to_canonical_json(odd) == _indented(odd)
 
 
-def test_canonical_json_placeholder_in_a_field(monkeypatch):
-    # a witness string equal to the placeholder must not be read as a child
-    import skeinrep.certificates as certificates
-
-    results = []
-    real = certificates._append_node
-
-    def spy(*args):
-        results.append(real(*args))
-        return results[-1]
-
-    monkeypatch.setattr(certificates, "_append_node", spy)
-    doc = certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()
-    doc["children"][3]["checks"][0]["witness"]["note"] = certificates._PLACEHOLDER
-    assert to_canonical_json(doc) == _indented(doc)
-    assert results[-1] is False
-
-
 def test_descent_terminates_everywhere():
     # every (g, b) reachable from small instances certifies or degenerates
     for p in (5, 7):
@@ -527,7 +511,7 @@ def test_descent_terminates_everywhere():
 
 def test_replay_binds_torus_exponents_to_instance():
     # the exponents must be (j+a)(j+a+2), j < p-a-1, for the instance colour 2a
-    torus = certify_one_holed_torus(7, 1).to_json()
+    torus = expand(certify_one_holed_torus(7, 1).to_json())
     assert replay_certificate(torus) == (CERTIFIED_MODULO_ASSUMPTION, [])
 
     def retarget(doc, exponents):
@@ -554,8 +538,8 @@ def test_replay_binds_torus_exponents_to_instance():
 
 
 def _loaded(cert) -> dict:
-    """The certificate as replay reads it from an artifact: no shared objects."""
-    return json.loads(to_canonical_json(cert.to_json()))
+    """The certificate as replay reads it from a /1 artifact: no shared objects."""
+    return expand(json.loads(to_canonical_json(cert.to_json())))
 
 
 def _unshared(doc, copy_first=True) -> dict:
@@ -584,18 +568,15 @@ def _replay_outcome(doc):
 def _distinct_subtrees(doc) -> int:
     import skeinrep.certificates as certificates
 
-    table: dict = {}
-    certificates._intern_node(doc, table, {})
-    return len(table)
+    nodes: dict = {}
+    certificates._intern_node(doc, {}, nodes)
+    return len(nodes)
 
 
-def _mutate(doc, rng) -> None:
-    """Change one field of one node of `doc`: a number, string, flag or null
-    replaced, a key deleted or a list entry (a child, say) dropped."""
-    nodes, stack = [], [doc]
-    while stack:
-        nodes.append(stack.pop())
-        stack.extend(nodes[-1]["children"])
+def _mutate(nodes, rng) -> None:
+    """Change one field of one of `nodes`: a number, string, flag or null
+    replaced, a key deleted or a list entry (a child, say) dropped.  Child
+    ids in a table are dropped, never edited."""
     node = rng.choice(nodes)
     places = []
 
@@ -634,7 +615,7 @@ def test_replay_memo_matches_unshared_oracle():
     outcomes = set()
     for seed in range(80):
         bad = json.loads(text)
-        _mutate(bad, random.Random(seed))
+        _mutate(tree_nodes(bad), random.Random(seed))
         got = _replay_outcome(bad)
         assert got == _replay_outcome(_unshared(bad, copy_first=False)), seed
         outcomes.add(got if isinstance(got, str) else got[0])
@@ -709,3 +690,129 @@ def test_replay_and_writer_keep_equal_numbers_of_other_types_apart():
     assert text == _indented(doc)
     for spelled in ('"value": 1.0\n', '"value": true\n'):
         assert text.count(spelled) == 1, spelled
+
+
+# ---------------------------------------------------------------------------
+# skeinrep.certificate/2 node tables against their expanded /1 trees.
+# ---------------------------------------------------------------------------
+
+_TABLE_CASES = [
+    (lambda: certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)), "7,0,5"),
+    (lambda: certify_irreducible(5, 1, 2, (1, 1)), "5,1,2"),
+    (lambda: certify_irreducible(7, 2, 1, (2,)), "7,2,1"),
+    (lambda: certify_irreducible(7, 3, 0, ()), "7,3,0"),
+    (lambda: certify_irreducible(5, 4, 0, ()), "5,4,0"),
+    (lambda: certify_irreducible(11, 2, 0, ()), "11,2,0"),
+    (lambda: certify_irreducible(13, 1, 2, (2, 2)), "13,1,2"),
+    (lambda: certify_irreducible(5, 1, 1, (3,)), "5,1,1"),
+    (lambda: certify_irreducible(5, 0, 3, (1, 1, 2)), "5,0,3"),
+    (lambda: certify_irreducible(5, 3, 0, ()), "5,3,0"),
+    (lambda: certify_irreducible(7, 1, 1, (2,)), "7,1,1"),
+    (lambda: certify_density((1, 2, 2, 3, 3, 3)), "dense 122333"),
+    (lambda: certify_density((1, 2, 2, 2, 2, 3)), "dense 122223"),
+    (lambda: certify_density((1, 1, 1)), "dense 111"),
+    (lambda: certify_density((1, 1, 1, 2)), "dense 1112"),
+    (lambda: certify_density((0, 0, 0, 0, 0)), "dense 00000"),
+]
+
+
+@pytest.mark.parametrize("build", [b for b, _ in _TABLE_CASES],
+                         ids=[name for _, name in _TABLE_CASES])
+def test_table_replays_like_its_expansion(build):
+    table = json.loads(to_canonical_json(build().to_json()))
+    assert table["schema"] == SCHEMA and set(table) == {"schema", "root", "nodes"}
+    result = replay_certificate(table)
+    assert result == replay_certificate(expand(table))
+    assert result == (table["nodes"][table["root"]]["status"], [])
+
+
+def test_table_ids_are_hashes_of_compact_node_text():
+    import hashlib
+
+    table = certify_irreducible(7, 3, 0, ()).to_json()
+    assert len(table["nodes"]) == 119
+    for nid, node in table["nodes"].items():
+        text = json.dumps(node, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == nid
+        assert all(child in table["nodes"] for child in node["children"])
+    text = to_canonical_json(table)
+    assert text == json.dumps(table, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _reached(table) -> set:
+    seen, stack = set(), [table["root"]]
+    while stack:
+        nid = stack.pop()
+        if nid not in seen:
+            seen.add(nid)
+            children = table["nodes"][nid].get("children")
+            stack.extend(children if isinstance(children, list) else ())
+    return seen
+
+
+@pytest.mark.parametrize("build, seeds", [
+    (lambda: certify_irreducible(5, 3, 0, ()), range(80)),
+    (lambda: certify_irreducible(7, 2, 1, (2,)), range(80, 200)),
+    (lambda: certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)), range(200, 400)),
+], ids=["5,3,0", "7,2,1", "7,0,5"])
+def test_table_mutations_replay_like_their_expansions(build, seeds):
+    # a mutated node stands for every occurrence of it in the expanded tree;
+    # a node that a dropped child id leaves unreached is one more problem
+    text = to_canonical_json(build().to_json())
+    outcomes = set()
+    for seed in seeds:
+        bad = json.loads(text)
+        _mutate(list(bad["nodes"].values()), random.Random(seed))
+        got = _replay_outcome(bad)
+        want = _replay_outcome(expand(bad))
+        orphans = sorted(bad["nodes"].keys() - _reached(bad))
+        if orphans and not isinstance(want, str):
+            want = (FAILED, want[1] + [f"cert: node {nid} is not reachable from the root"
+                                       for nid in orphans])
+        assert got == want, seed
+        outcomes.add(got if isinstance(got, str) else got[0])
+    assert {FAILED, "KeyError"} <= outcomes, outcomes
+
+
+def test_table_references_must_resolve_without_cycles_or_orphans():
+    table = json.loads(to_canonical_json(certify_irreducible(7, 0, 5, (1, 1, 1, 1, 2)).to_json()))
+    assert replay_certificate(table) == (CERTIFIED, [])
+    root_id = table["root"]
+    n_children = len(table["nodes"][root_id]["children"])
+    spare = "f" * 64
+    assert spare not in table["nodes"]
+
+    # a child id that names no node
+    bad = copy.deepcopy(table)
+    bad["nodes"][root_id]["children"].append(spare)
+    assert replay_certificate(bad) == (FAILED, [
+        f"cert/{n_children}: no node {spare} in the table",
+        "cert: replayed status FAILED, stored CERTIFIED"])
+
+    # two nodes that are each other's child: the root's child 3 and a copy
+    bad = copy.deepcopy(table)
+    child_id = bad["nodes"][root_id]["children"][3]
+    assert bad["nodes"][root_id]["children"].count(child_id) == 1
+    child = bad["nodes"][child_id]
+    assert child["children"] == [] and child["status"] == CERTIFIED
+    bad["nodes"][spare] = dict(child, children=[child_id])
+    child["children"] = [spare]
+    status, problems = replay_certificate(bad)
+    assert status == FAILED
+    assert problems == [f"cert/3/0/0: node {child_id} is its own descendant",
+                        "cert/3/0: replayed status FAILED, stored CERTIFIED",
+                        "cert/3: replayed status FAILED, stored CERTIFIED",
+                        "cert: replayed status FAILED, stored CERTIFIED"]
+
+    # a node that the root cannot reach
+    bad = copy.deepcopy(table)
+    bad["nodes"][spare] = copy.deepcopy(bad["nodes"][root_id])
+    assert replay_certificate(bad) == (
+        FAILED, [f"cert: node {spare} is not reachable from the root"])
+
+    # a root that names no node: every node is then unreached
+    bad = copy.deepcopy(table)
+    bad["root"] = spare
+    status, problems = replay_certificate(bad)
+    assert status == FAILED and problems[0] == f"cert: no node {spare} in the table"
+    assert len(problems) == 1 + len(table["nodes"])

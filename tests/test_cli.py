@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from certtables import expand
 
 from skeinrep.cli import main
 from skeinrep.scalars import scalar_from_json
@@ -92,8 +93,8 @@ def test_certify_irr(capsys):
                        "--colors", "1,1,1,1", "--json")
     assert code == 0
     doc = json.loads(out)  # certificates are emitted bare, they carry their own schema
-    assert doc["schema"] == "skeinrep.certificate/1"
-    assert doc["status"] == "CERTIFIED"
+    assert doc["schema"] == "skeinrep.certificate/2"
+    assert expand(doc)["status"] == "CERTIFIED"
     # dimension-1 space: nothing to certify, distinct exit code
     code, _, _ = run(capsys, "certify", "irr", "--p", "5", "--g", "0", "--b", "4",
                      "--colors", "1,1,3,3")
@@ -104,7 +105,7 @@ def test_certify_dense(capsys):
     code, out, _ = run(capsys, "certify", "dense", "--generic",
                        "--colors", "1,1,1,1,2", "--json")
     assert code == 0
-    doc = json.loads(out)
+    doc = expand(json.loads(out))
     assert doc["status"] == "CERTIFIED"
     code, _, _ = run(capsys, "certify", "dense", "--colors", "1,2,3,4,5")
     assert code == 3  # vacuous
@@ -170,7 +171,7 @@ def test_replay_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "certify", "irr", "--p", "5", "--g", "0", "--b", "5",
                        "--colors", "1,1,1,1,2", "--json")
     clean = out
-    doc = json.loads(out)
+    doc = expand(json.loads(out))
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "replay", "--file", str(path))
@@ -212,7 +213,7 @@ def test_replay_round_trip(capsys, tmp_path):
     # shapes that replay's subtree keys cannot take or must keep apart: each
     # keeps the exit code of replaying every node, and none is a traceback
     def edited(edit):
-        doc = json.loads(clean)
+        doc = expand(json.loads(clean))
         assert doc["children"][0]["status"] == "VACUOUS"
         assert doc["checks"][1]["witness"]["kind"] == "chain"
         edit(doc)
@@ -242,6 +243,49 @@ def test_replay_round_trip(capsys, tmp_path):
         path.write_text(edited(edit))
         code, out, err = run(capsys, "replay", "--file", str(path))
         assert (code, message in err) == (want, True), err
+        assert "Traceback" not in err
+
+
+def _deep_chain(doc):
+    doc["nodes"] = {f"n{k}": {"status": "CERTIFIED", "children": [f"n{k + 1}"]}
+                    for k in range(5000)}
+    doc["nodes"]["n5000"] = {"status": "CERTIFIED"}
+    doc["root"] = "n0"
+
+
+def test_replay_table_shapes(capsys, tmp_path):
+    code, out, _ = run(capsys, "certify", "irr", "--p", "5", "--g", "0", "--b", "5",
+                       "--colors", "1,1,1,1,2", "--json")
+    clean, path = out, tmp_path / "cert.json"
+    path.write_text(clean)
+    code, out, _ = run(capsys, "replay", "--file", str(path))
+    assert code == 0 and out.startswith("replayed irreducible -> CERTIFIED (stored CERTIFIED)")
+
+    def edited(edit):
+        doc = json.loads(clean)
+        edit(doc)
+        return json.dumps(doc)
+
+    spare = "f" * 64
+    cases = (
+        # references that do not resolve, or reach a node the root cannot
+        (lambda doc: doc["nodes"][doc["root"]]["children"].append(spare), 1,
+         f"no node {spare} in the table"),
+        (lambda doc: doc["nodes"].update({spare: doc["nodes"][doc["root"]]}), 1,
+         f"node {spare} is not reachable from the root"),
+        # a table of the wrong shape is a usage error
+        (lambda doc: doc.update(nodes=list(doc["nodes"].values())), 2,
+         "error: malformed certificate: TypeError: a certificate/2 document needs a string "
+         "root and an object of nodes"),
+        (lambda doc: doc.update(root=7), 2, "error: malformed certificate: TypeError"),
+        (lambda doc: doc.pop("nodes"), 2, "error: malformed certificate: KeyError: 'nodes'"),
+        # a chain of references deeper than the interpreter's recursion limit
+        (_deep_chain, 2, "error: malformed certificate: RecursionError"),
+    )
+    for edit, want, message in cases:
+        path.write_text(edited(edit))
+        code, out, err = run(capsys, "replay", "--file", str(path))
+        assert code == want and message in out + err, (out, err)
         assert "Traceback" not in err
 
 

@@ -4,6 +4,7 @@ import copy
 import itertools
 
 import pytest
+from certtables import expand
 
 from skeinrep.certificates import (
     CERTIFIED,
@@ -144,7 +145,7 @@ def test_noniso_certificates():
 
 def test_noniso_replay_rejects_tampered_exponents():
     cert = noniso_check((1, 1, 2))
-    doc = cert.to_json()
+    doc = expand(cert.to_json())
     bad = copy.deepcopy(doc)
     wit = bad["checks"][0]["witness"]
     assert wit["kind"] == "exponent_separation"
@@ -201,8 +202,8 @@ def test_certify_density_induction():
 
 
 def test_certify_density_order_invariant():
-    a = certify_density((2, 1, 1, 1, 1)).to_json()
-    b = certify_density((1, 1, 2, 1, 1)).to_json()
+    a = expand(certify_density((2, 1, 1, 1, 1)).to_json())
+    b = expand(certify_density((1, 1, 2, 1, 1)).to_json())
     # same sorted instance, same certificate body
     assert a["status"] == b["status"] == CERTIFIED
 

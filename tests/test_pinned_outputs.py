@@ -1,25 +1,28 @@
 """Root-of-unity and generic outputs pinned byte for byte.
 
 Each entry is the first 12 hex digits of the SHA-256 of the output's
-canonical JSON, recorded with the Fraction kernels that preceded the
-integer-scaled ones (the genus-3 certificate was recorded with the plain
-``json.dumps`` writer that preceded the piecewise one).  The (5,4,0),
-(11,2,0) and (13,1,2) certificates and the CLI replay output were recorded
-with the writer keyed by compact dumps and the replay that walked every
-occurrence, before either was keyed by `_node_key`.  The (1,2,2,2,2,3)
-density certificate and the five trivial-status certificates were recorded
-with the separate irreducibility and density drivers that preceded the one
-memoized recursion.  Any change to the
-scalar kernel, the recoupling symbols, the certificate layout or the replay
-messages that alters a single byte fails here."""
+canonical JSON.  A certificate is hashed as its expanded
+``skeinrep.certificate/1`` tree, so these pins hold across the ``/2`` node
+tables, whose bytes two more pins fix as written.  The pins were recorded
+with the Fraction kernels that preceded the integer-scaled ones (the
+genus-3 certificate with the plain ``json.dumps`` writer that preceded the
+piecewise one).  The (5,4,0), (11,2,0) and (13,1,2) certificates and the
+CLI replay output were recorded with the writer keyed by compact dumps and
+the replay that walked every occurrence, before either was keyed by
+`_node_key`.  The (1,2,2,2,2,3) density certificate and the five
+trivial-status certificates were recorded with the separate irreducibility
+and density drivers that preceded the one memoized recursion.  Any change
+to the scalar kernel, the recoupling symbols, the certificate layout or the
+replay messages that alters a single byte fails here."""
 
 import hashlib
 import json
 
 import pytest
+from certtables import expand, tree_nodes
 
 from skeinrep.cli import main
-from skeinrep.certificates import certify_irreducible, to_canonical_json
+from skeinrep.certificates import Certificate, certify_irreducible, to_canonical_json
 from skeinrep.density import certify_density
 from skeinrep.recoupling import fusion_matrix, tet
 from skeinrep.scalars import GENERIC, root_of_unity
@@ -71,27 +74,52 @@ def test_generic_output_bytes(build, prefix):
 
 
 def _digest(value) -> str:
-    blob = to_canonical_json(value.to_json()).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    doc = value.to_json()
+    if isinstance(value, Certificate):
+        doc = expand(doc)
+    return _sha(to_canonical_json(doc))
 
 
-def test_cli_replay_output_bytes(tmp_path, capsys):
-    # every dimension witness of (7, 3, 0) overstated by one: 246 leaves in
-    # repeated subtrees, each reported at its own path, in document order
-    cert, replay = tmp_path / "cert.json", tmp_path / "replay.json"
-    argv = ["certify", "irr", "--p", "7", "--g", "3", "--b", "0", "--json", "--out"]
-    assert main(argv + [str(cert)]) == 0
-    doc = json.loads(cert.read_text())
-    stack, bumped = [doc], 0
-    while stack:
-        node = stack.pop()
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+# the skeinrep.certificate/2 node tables, as written
+TABLE_PINNED = [
+    ("certify 7,3,0", lambda: certify_irreducible(7, 3, 0, ()), "d0b32309e216"),
+    ("certify dense", lambda: certify_density((1, 2, 2, 3, 3, 3)), "4ceb92d1f601"),
+]
+
+
+@pytest.mark.parametrize("build, prefix", [(b, h) for _, b, h in TABLE_PINNED],
+                         ids=[name for name, _, _ in TABLE_PINNED])
+def test_certificate_table_bytes(build, prefix):
+    assert _sha(to_canonical_json(build().to_json())) == prefix
+
+
+def _bump_dimensions(nodes) -> int:
+    bumped = 0
+    for node in nodes:
         for check in node["checks"]:
             if check["witness"]["kind"] == "dimension":
                 check["witness"]["value"] += 1
                 bumped += 1
-        stack.extend(node["children"])
-    assert bumped == 246
-    cert.write_text(json.dumps(doc))
-    assert main(["replay", "--file", str(cert), "--json", "--out", str(replay)]) == 1
-    capsys.readouterr()
-    assert hashlib.sha256(replay.read_bytes()).hexdigest()[:12] == "bdd2fbe44373"
+    return bumped
+
+
+def test_cli_replay_output_bytes(tmp_path, capsys):
+    # every dimension witness of (7, 3, 0) overstated by one: 246 leaves in
+    # repeated subtrees, each reported at its own path, in document order;
+    # in the table each distinct witness is bumped once, with the same report
+    cert, replay = tmp_path / "cert.json", tmp_path / "replay.json"
+    argv = ["certify", "irr", "--p", "7", "--g", "3", "--b", "0", "--json", "--out"]
+    assert main(argv + [str(cert)]) == 0
+    table = json.loads(cert.read_text())
+    tree = expand(table)
+    assert _bump_dimensions(tree_nodes(tree)) == 246
+    assert 0 < _bump_dimensions(table["nodes"].values()) < 246
+    for doc in (tree, table):
+        cert.write_text(json.dumps(doc))
+        assert main(["replay", "--file", str(cert), "--json", "--out", str(replay)]) == 1
+        capsys.readouterr()
+        assert hashlib.sha256(replay.read_bytes()).hexdigest()[:12] == "bdd2fbe44373"

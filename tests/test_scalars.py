@@ -334,6 +334,26 @@ def test_integer_kernel_matches_fraction_reference(p):
             assert _as_ref(x / y) == _ref_mul(p, vx, inverses[n])
 
 
+def test_root_of_unity_coefficients_print_like_fractions():
+    # to_json reduces each coefficient c/d with one gcd; the text must be
+    # str(Fraction(c, d)), zero and negative numerators included
+    rng = random.Random(77)
+    pairs = [(n, d) for n in range(-12, 13) for d in range(1, 13)]
+    pairs += [(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)) for _ in range(500)]
+    pairs += [(0, 10**20), (-(2**70), 2**64), (3**40, 3**41), (-(3**41), 3**40)]
+    for n, d in pairs:
+        assert scalars_module._ratio_text(n, d) == str(Fraction(n, d)), (n, d)
+    # every admissible theta at p = 11, every [r] and its inverse
+    ring = root_of_unity(11)
+    corpus = [theta(*t, ring) for t in itertools.combinations_with_replacement(range(10), 3)
+              if is_admissible_triple(*t, ring)]
+    corpus += [quantum_integer(ring, r) for r in range(1, 11)]
+    corpus += [x.invert() for x in corpus if not x.is_zero()]
+    corpus += [Scalar.zero(ring), -Scalar.one(ring) / 6]
+    for x in corpus:
+        assert x.to_json()["coefficients"] == [str(Fraction(c, x._d)) for c in x._vec]
+
+
 def test_rational_scalars_hash_like_rationals():
     for ring in (R5, root_of_unity(13), GENERIC):
         for q in (0, 1, -4, Fraction(3, 7), Fraction(-22, 5)):
