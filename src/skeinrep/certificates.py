@@ -145,9 +145,14 @@ def to_canonical_json(doc: dict) -> str:
     ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, which runs
     the C encoder; every other payload is
     ``json.dumps(doc, sort_keys=True, indent=2)``.  Both end in a newline.
+    The table is dumped one node at a time and joined under sorted ids: one
+    call keeps all its fragments alive until it joins them.
     """
     if isinstance(doc, dict) and doc.get("schema") == SCHEMA:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        dump, nodes = partial(json.dumps, sort_keys=True, separators=(",", ":")), doc["nodes"]
+        table = "{" + ",".join(dump(k) + ":" + dump(nodes[k]) for k in sorted(nodes)) + "}"
+        return "{" + ",".join(dump(k) + ":" + (table if k == "nodes" else dump(v))
+                              for k, v in sorted(doc.items())) + "}\n"
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -225,6 +225,8 @@ def _load_json_input(path) -> dict:
                 data = json.load(fh)
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed JSON input: {e}")
+    except RecursionError:
+        raise UsageError("malformed JSON input: nested too deeply")
     except OSError as e:
         raise UsageError(str(e))
     if not isinstance(data, dict):

@@ -6,8 +6,11 @@ are never trusted on their own: the test suite pins every family against the
 brute-force network evaluator in tl.py.  All arithmetic is exact, and in
 root-of-unity mode every denominator factorial argument stays at most p-2,
 so the inverses below never meet a vanishing quantum integer.  Every
-division is a product with a cached inverse: [r]^-1 once per ring and r,
-theta^-1 once per ring and triple.
+division is a product with a cached inverse, and repeated products are
+cached too: [r]^e once per ring, r and e, with [r]^-1 the only inverse of
+[r]; each quotient of quantum factorials once per exponent signature
+(r, e_r); theta^-1 once per ring and triple; and the 6j row scale
+loop(j) theta^-1 theta^-1 once per ring and outer colors.
 """
 
 from __future__ import annotations
@@ -19,17 +22,12 @@ from .scalars import RingSpec, Scalar, loop_value, quantum_integer
 from .spaces import admissibility_failure, channel_colors, is_admissible_triple
 
 
-@lru_cache(maxsize=None)
-def _inverse_quantum_integer(ring: RingSpec, r: int) -> Scalar:
-    return quantum_integer(ring, r).invert()
-
-
 def _product_of_quantum_factorials(ring: RingSpec, num_args, den_args) -> Scalar:
     """Exact Prod [k]! over num_args divided by the same over den_args.
 
     Shared quantum-integer factors are cancelled at integer-exponent level,
-    so the value is Prod [r]^e_r over integers e_r.  It is built as a product
-    of [r]^e_r and cached [r]^-1 powers and never divides.
+    so the value is Prod [r]^e_r over integers e_r, which depends only on
+    the signature of nonzero (r, e_r); it is cached under that signature.
     """
     exp: dict = {}
     for k in num_args:
@@ -38,14 +36,26 @@ def _product_of_quantum_factorials(ring: RingSpec, num_args, den_args) -> Scalar
     for k in den_args:
         for r in range(2, k + 1):
             exp[r] = exp.get(r, 0) - 1
-    out = Scalar.one(ring)
-    for r in sorted(exp):
-        e = exp[r]
-        if e > 0:
-            out = out * quantum_integer(ring, r) ** e
-        elif e < 0:
-            out = out * _inverse_quantum_integer(ring, r) ** -e
-    return out
+    return _quantum_power_product(ring, tuple(sorted((r, e) for r, e in exp.items() if e)))
+
+
+@lru_cache(maxsize=None)
+def _quantum_power_product(ring: RingSpec, signature: tuple) -> Scalar:
+    out = None
+    for r, e in signature:
+        power = _quantum_integer_power(ring, r, e)
+        out = power if out is None else out * power
+    return Scalar.one(ring) if out is None else out
+
+
+@lru_cache(maxsize=None)
+def _quantum_integer_power(ring: RingSpec, r: int, e: int) -> Scalar:
+    """[r]^e, never dividing: a negative power is a power of the cached [r]^-1."""
+    if e == -1:
+        return quantum_integer(ring, r).invert()
+    if e < 0:
+        return _quantum_integer_power(ring, r, -1) ** -e
+    return quantum_integer(ring, r) ** e
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +149,13 @@ def sixj(a: int, b: int, i: int, c: int, d: int, j: int, ring: RingSpec) -> Scal
     # tet(a,b,i,c,d,j) = tet(a,d,j,c,b,i): read it under one orientation so
     # the reverse fusion matrix reuses the forward matrix's cached symbols
     frame = min((a, b, i, c, d, j), (a, d, j, c, b, i))
-    value = loop_value(ring, j) * tet(*frame, ring)
-    return value * _inverse_theta(a, d, j, ring) * _inverse_theta(b, c, j, ring)
+    return tet(*frame, ring) * _sixj_scale(a, d, b, c, j, ring)
+
+
+@lru_cache(maxsize=None)
+def _sixj_scale(a: int, d: int, b: int, c: int, j: int, ring: RingSpec) -> Scalar:
+    # loop(j) / (theta(a,d,j) theta(b,c,j)) is shared by every i of a fusion row
+    return loop_value(ring, j) * _inverse_theta(a, d, j, ring) * _inverse_theta(b, c, j, ring)
 
 
 @lru_cache(maxsize=None)

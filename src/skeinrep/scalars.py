@@ -106,18 +106,41 @@ def _power_reps(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(reps)
 
 
-def _vec_mul(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _galois_generator(p: int) -> int:
+    """The least k = 1 (mod 4) whose residue generates (Z/p)^*, so that the
+    units mod 4p are exactly the +-k^j for j < p-1."""
+    return next(k for k in range(5, 4 * p, 4)
+                if len({pow(k, j, p) for j in range(p - 1)}) == p - 1)
+
+
+def _vec_mul(p: int, a, b) -> list[int]:
     """Product of two integer coordinate vectors, reduced mod Phi_4p."""
     if a.count(0) < b.count(0):
         a, b = b, a  # the outer loop skips zeros, so run it over the sparser factor
-    deg = 2 * (p - 1)
-    conv = [0] * (2 * deg - 1)
+    conv = [0] * (4 * p - 5)
     for i, ai in enumerate(a):
         if ai:
             for k, bj in enumerate(b, i):
                 conv[k] += ai * bj
+    return _reduce(p, conv)
+
+
+def _conjugate(p: int, vec, k: int) -> list[int]:
+    """sigma_k(vec) for a unit k mod 4p: zeta_4p -> zeta_4p^k scatters the
+    coordinate of x^i to x^(ik mod 4p), distinct for distinct i."""
+    full = [0] * (4 * p)
+    for i, c in enumerate(vec):
+        if c:
+            full[i * k % (4 * p)] = c
+    return _reduce(p, full)
+
+
+def _reduce(p: int, conv: list[int]) -> list[int]:
+    """The coefficients of x^0 .. x^(n-1), 2p <= n <= 4p, reduced mod Phi_4p."""
+    deg = 2 * (p - 1)
     # x^(2p) = -1, then x^(2p-2) = -sum_k (-1)^k x^(2k) and x^(2p-1) = x * x^(2p-2)
-    for k in range(2 * p, 2 * deg - 1):
+    for k in range(2 * p, len(conv)):
         conv[k - 2 * p] -= conv[k]
     even, odd = conv[deg], conv[deg + 1]
     out = conv[:deg]
@@ -518,16 +541,23 @@ class Scalar:
             # embedding of Q(zeta_4p) is real, so the conjugates pair off with
             # their complex conjugates and N(x) = prod |sigma(x)|^2 > 0 for x != 0.
             # With x = vec / d and y = prod_{k != 1} sigma_k(vec), x^-1 = d*y / N(vec).
+            # The units mod 4p are the +-g^j, j < p-1, for g = _galois_generator(p),
+            # so with x' = sigma_-1(x), t = x x' and R_n = prod_{j<n} sigma_g^j(t),
+            # y = x' sigma_g(R_(p-2)).  R is built from the top bit of p-2 down by
+            # R_2n = R_n sigma_g^n(R_n) and R_(n+1) = R_n sigma_g^n(t): O(log p)
+            # products, where multiplying the conjugates one by one takes 2p-3.
             p, vec = self.ring.p, self._vec
-            reps = _power_reps(p)
-            y = None
-            for k in range(3, 4 * p, 2):
-                if k % p:
-                    conj = [0] * len(vec)  # sigma_k(vec), re-indexed from the powers of x
-                    for i, c in enumerate(vec):
-                        if c:
-                            conj = [a + c * r for a, r in zip(conj, reps[i * k % (4 * p)])]
-                    y = conj if y is None else _vec_mul(p, y, conj)
+            g, n4 = _galois_generator(p), 4 * p
+            bar = _conjugate(p, vec, n4 - 1)
+            t = _vec_mul(p, vec, bar)
+            r, n = t, 1
+            for bit in bin(p - 2)[3:]:
+                r = _vec_mul(p, r, _conjugate(p, r, pow(g, n, n4)))
+                n *= 2
+                if bit == "1":
+                    r = _vec_mul(p, r, _conjugate(p, t, pow(g, n, n4)))
+                    n += 1
+            y = _vec_mul(p, bar, _conjugate(p, r, g))
             norm = _vec_mul(p, vec, y)[0]
             return Scalar._cyclotomic(self.ring, [self._d * c for c in y], norm)
         num, den = self._den, self._num

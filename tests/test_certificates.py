@@ -739,6 +739,15 @@ def test_table_ids_are_hashes_of_compact_node_text():
     assert text == json.dumps(table, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def test_table_dump_matches_one_shot_dump():
+    # a table is dumped one node at a time; the bytes must be those of one
+    # json.dumps call, with other top-level keys before and after "nodes"
+    table = certify_irreducible(7, 2, 1, (2,)).to_json()
+    for doc in (table, dict(table, nodes={}), dict(table, aaa=[1, {"b": 2}], zzz="é")):
+        want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert to_canonical_json(doc) == want
+
+
 def _reached(table) -> set:
     seen, stack = set(), [table["root"]]
     while stack:

@@ -155,6 +155,17 @@ def test_malformed_oracle_and_graph_input(capsys, tmp_path):
     assert code == 0 and out.strip() == "3"
 
 
+def test_deeply_nested_json_input_is_a_usage_error(capsys, tmp_path):
+    # json.load raises RecursionError past the interpreter's depth limit;
+    # that is bad input (exit 2), not a failed verdict (exit 1)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for argv in (("replay", "--file", str(path)),
+                 ("oracle-eval", "--generic", "--file", str(path))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
 def test_certify_max_depth(capsys):
     code, _, err = run(capsys, "certify", "dense", "--colors", "1,2,2,3,3,3", "--max-depth", "1")
     assert code == 2 and "induction depth exceeds max_depth=1" in err

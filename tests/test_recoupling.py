@@ -12,6 +12,7 @@ import pytest
 
 from skeinrep.matrices import RingMatrix
 from skeinrep.recoupling import (
+    _product_of_quantum_factorials,
     fusion_matrix,
     middle_colors,
     sixj,
@@ -19,7 +20,14 @@ from skeinrep.recoupling import (
     tet_summands,
     theta,
 )
-from skeinrep.scalars import GENERIC, a_power, loop_value, root_of_unity
+from skeinrep.scalars import (
+    GENERIC,
+    Scalar,
+    a_power,
+    loop_value,
+    quantum_factorial,
+    root_of_unity,
+)
 from skeinrep.spaces import is_admissible_triple
 from skeinrep.tl import evaluate_network, tet_network, theta_network
 
@@ -147,6 +155,37 @@ def test_middle_colors():
 def test_sixj_golden():
     A = lambda k: a_power(GENERIC, k)
     assert sixj(1, 1, 2, 1, 1, 2, GENERIC) == (A(2)) / (A(4) + 1)
+
+
+def test_factorial_quotients_match_fresh_products():
+    # the quotient is cached by exponent signature, so argument lists that
+    # cancel to the same signature share one value; each must still equal
+    # the plain quotient of factorials
+    rng = random.Random(1313)
+    for ring, top in ((GENERIC, 7), (root_of_unity(11), 9)):
+        for _ in range(40):
+            num = [rng.randint(0, top) for _ in range(rng.randint(0, 4))]
+            den = [rng.randint(0, top) for _ in range(rng.randint(0, 4))]
+            want = Scalar.one(ring)
+            for k in num:
+                want = want * quantum_factorial(ring, k)
+            for k in den:
+                want = want * quantum_factorial(ring, k).invert()
+            assert _product_of_quantum_factorials(ring, num, den) == want, (ring, num, den)
+            assert _product_of_quantum_factorials(ring, num + den, den + num) == 1
+
+
+def test_sixj_matches_uncached_quotient():
+    rng = random.Random(611)
+    for ring, top in ((GENERIC, 5), (root_of_unity(11), 9)):
+        frames = [(a, b, i, c, d, j)
+                  for a, b, c, d in itertools.product(range(top + 1), repeat=4)
+                  for i in middle_colors(a, b, c, d, ring)
+                  for j in middle_colors(a, d, c, b, ring)]
+        for a, b, i, c, d, j in rng.sample(frames, 25):
+            want = loop_value(ring, j) * tet(a, b, i, c, d, j, ring) / (
+                theta(a, d, j, ring) * theta(b, c, j, ring))
+            assert sixj(a, b, i, c, d, j, ring) == want, (ring, a, b, i, c, d, j)
 
 
 def test_fusion_matrix_entries_are_sixj():

@@ -334,6 +334,46 @@ def test_integer_kernel_matches_fraction_reference(p):
             assert _as_ref(x / y) == _ref_mul(p, vx, inverses[n])
 
 
+@pytest.mark.parametrize("p", (17, 19, 23))
+def test_norm_inverse_chain_matches_fraction_reference(p):
+    # Galois group orders 16, 18 and 22: the chain for p-2 = 15, 17 and 21
+    # (binary 1111, 10001, 10101) takes the conjugate-of-t step after every
+    # doubling, after the last one only, and after every other one.  The
+    # random vectors are sparse, which keeps the Fraction xgcd fast.
+    ring = root_of_unity(p)
+    rng = random.Random(5000 + p)
+    vectors = []
+    for _ in range(3):
+        v, d = [Fraction(0)] * ring.degree, rng.randint(1, 9)
+        for i in rng.sample(range(ring.degree), 4):
+            v[i] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), d)
+        vectors.append(tuple(v))
+    vectors += [_as_ref(quantum_integer(ring, r)) for r in range(1, p)]
+    for v in vectors:
+        if any(v):
+            x = scalar_from_json(_ref_json(p, v))
+            assert _as_ref(x.invert()) == _ref_invert(p, v)
+            assert x * x.invert() == 1
+
+
+def test_conjugation_matches_power_reps():
+    for p in (5, 7):
+        reps = scalars_module._power_reps(p)
+        g = scalars_module._galois_generator(p)
+        units = {k for k in range(4 * p) if k % 2 and k % p}
+        assert g % 4 == 1 and {s * pow(g, j, 4 * p) % (4 * p) for s in (1, -1)
+                               for j in range(p - 1)} == units
+        rng = random.Random(p)
+        vectors = [[rng.randint(-9, 9) for _ in range(2 * (p - 1))] for _ in range(4)]
+        vectors += [list(reps[i]) for i in range(2 * (p - 1))]
+        for k in sorted(units):
+            for vec in vectors:
+                want = [0] * len(vec)
+                for i, c in enumerate(vec):
+                    want = [a + c * r for a, r in zip(want, reps[i * k % (4 * p)])]
+                assert scalars_module._conjugate(p, vec, k) == want, (p, k, vec)
+
+
 def test_root_of_unity_coefficients_print_like_fractions():
     # to_json reduces each coefficient c/d with one gcd; the text must be
     # str(Fraction(c, d)), zero and negative numerators included
